@@ -15,7 +15,10 @@ from .sampling import CesDistribution, RandomStream, modular_variate_sample
 # Pinned stream for scale calibration; results must not depend on ambient RNG state.
 _CALIBRATION_STREAM = RandomStream(seed=0x5CA1E, index=0)
 
-_COND_LIMIT = 1e14
+# Anderson mixing memory: how many past sweeps each mix combines.
+_ANDERSON_MEMORY = 3
+# Newton/bisection steps allowed for the per-sweep scale root.
+_SCALE_MAX_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -91,10 +94,17 @@ def _as_samples(Z) -> np.ndarray:
     return Z
 
 
-def _weighted_scatter(Z: np.ndarray, Zc: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _weighted_scatter(Z: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """(1/n) sum_i w_i z_i z_i^H, exactly Hermitian, with a single p x n temporary.
+
+    The product is taken as conj(Z) diag(w) Z^T, the transpose of the scatter,
+    so no conjugate copy of Z outlives the call.
+    """
     n = Z.shape[1]
-    Zw = Z if w is None else Z * w
-    S = Zw @ Zc.T / n
+    Zw = Z.conj()
+    if w is not None:
+        Zw *= w
+    S = (Zw @ Z.T).T / n
     return (S + S.conj().T) / 2
 
 
@@ -103,77 +113,162 @@ def scm(Z) -> HermitianMatrix:
     Z = _as_samples(Z)
     if Z.shape[1] < 1:
         raise InputError("need at least one sample")
-    return HermitianMatrix(_weighted_scatter(Z, Z.conj(), None))
+    return HermitianMatrix(_weighted_scatter(Z, None))
 
 
 def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> float:
     """Root y of mean(psi(t*y)) = p; y = 1/c recalibrates the iterate scale.
 
-    mean(psi(t*y)) is non-decreasing in y, so a bracketed Newton iteration is
-    safe; at the fixed point the root is y = 1 by the trace identity.
+    mean(psi(t*y)) is non-decreasing in y and its root is y = 1 at any fixed
+    point (trace identity), so Newton steps start there. Every evaluation
+    narrows a bracket on the root, and a step that leaves the bracket is
+    replaced by bisection (or by doubling while no upper end is known).
     """
-    def h(y):
-        return float(np.mean(spec.psi(t * y))) - p
-
-    lo, hi = 1e-9, 1e9
-    if h(lo) > 0 or h(hi) < 0:
-        raise DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
+    n = t.shape[0]
+    target = n * p
+    lo, hi = 0.0, np.inf
     y = 1.0
-    for _ in range(100):
-        val = h(y)
-        if abs(val) <= 1e-13 * p:
+    for _ in range(_SCALE_MAX_STEPS):
+        ty = t * y
+        val = float(spec.psi(ty).sum()) - target
+        if abs(val) <= 1e-13 * target:
             return y
         if val > 0:
-            hi = min(hi, y)
+            hi = y
         else:
-            lo = max(lo, y)
-        slope = float(np.mean(spec.psi_prime(t * y) * t))
-        step = y - val / slope if slope > 0 else 0.0
-        y = step if lo < step < hi else np.sqrt(lo * hi)
-    return y
+            lo = y
+        slope = float(np.dot(spec.psi_prime(ty), t))
+        step = y - val / slope if slope > 0 else np.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < np.inf else 2.0 * y
+        elif abs(step - y) <= 1e-8 * y:
+            return step  # Newton converges quadratically: the error left is ~1e-16 y
+        y = step
+    raise DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
+
+
+def _whitened_norms(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """t_i = z_i^H (L L^H)^{-1} z_i = ||L^{-1} z_i||^2.
+
+    Summed on the real view of L^{-1} Z, so no conjugate copy is made; the
+    p x n product is freed on return, before the next p x n temporary.
+    """
+    W = (np.linalg.inv(L) @ Z).view(np.float64)
+    sq = np.einsum("ij,ij->j", W, W)
+    return sq[0::2] + sq[1::2]
+
+
+def _frobenius(A: np.ndarray) -> float:
+    """Frobenius norm of a C-contiguous complex array, as one dot product of its real view."""
+    a = A.view(np.float64).ravel()
+    return float(np.sqrt(np.dot(a, a)))
+
+
+def _solve_gram(G: list, b: list) -> list:
+    """Solve G x = b for the Gram matrix G of the Anderson history, in place.
+
+    G is symmetric positive semi-definite and at most _ANDERSON_MEMORY wide.
+    Elimination in Python floats needs no pivoting here, costs less than a
+    LAPACK call's fixed overhead and pages in no further LAPACK code. A pivot
+    that is not positive means the history is (numerically) linearly
+    dependent: LinAlgError.
+    """
+    m = len(b)
+    for k in range(m):
+        Gk = G[k]
+        if not Gk[k] > 0:
+            raise np.linalg.LinAlgError("singular Anderson system")
+        for i in range(k + 1, m):
+            Gi = G[i]
+            r = Gi[k] / Gk[k]
+            for j in range(k + 1, m):
+                Gi[j] -= r * Gk[j]
+            b[i] -= r * b[k]
+    for k in range(m - 1, -1, -1):
+        Gk = G[k]
+        s = b[k]
+        for j in range(k + 1, m):
+            s -= Gk[j] * b[j]
+        b[k] = s / Gk[k]
+    return b
+
+
+def _cholesky(S: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise DegeneracyError("singular iterate: Cholesky factorization failed") from None
 
 
 def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> HermitianMatrix:
     """Solve Sigma = (1/n) sum u(z_i^H Sigma^{-1} z_i) z_i z_i^H.
 
-    Each sweep recalibrates the iterate's scale through the one-dimensional
-    equation mean(Psi) = p before applying the weighted-scatter map; the
-    recalibration vanishes at any solution, so fixed points are unchanged,
-    while the otherwise slowly-contracting scale mode is removed. Returns once
-    the plain fixed-point residual of the iterate is at or below `opts.tol`.
+    Each sweep whitens the samples with the Cholesky factor of the iterate
+    (t_i = ||L^{-1} z_i||^2), recalibrates the iterate's scale through the
+    one-dimensional equation mean(Psi) = p, and applies the weighted-scatter
+    map; the recalibration vanishes at any solution, so fixed points are
+    unchanged, while the otherwise slowly-contracting scale mode is removed.
+    The next iterate is the type-II Anderson mix of the last few images,
+    with real coefficients, so it stays exactly Hermitian; a mix that is not
+    positive definite is replaced by the plain image and the history is
+    cleared. Returns once the plain (unrecalibrated) fixed-point residual of
+    the iterate is at or below `opts.tol`. The unit weight reaches the sample
+    covariance after one sweep and returns it, bitwise equal to `scm`.
     """
     opts = opts or SolverOptions()
     Z = _as_samples(Z)
     p, n = Z.shape
     if n <= p:
         raise DegeneracyError(f"need n > p samples for a full-rank solution, got n={n}, p={p}")
-    Zc = Z.conj()
 
     if opts.init == "identity":
         S = np.eye(p, dtype=complex)
     else:
-        S = _weighted_scatter(Z, Zc, None)
+        S = _weighted_scatter(Z, None)
         S = S * (p / np.trace(S).real)
+    L = _cholesky(S)
 
-    prev = np.inf
+    # Anderson history: differences of successive residuals (real views) and of successive images.
+    dF: list[np.ndarray] = []
+    dT: list[np.ndarray] = []
+    f_prev = T_prev = None
     resid = np.inf
     for _ in range(opts.max_iter):
-        lam, V = np.linalg.eigh(S)
-        if lam[0] <= 0 or lam[-1] / lam[0] > _COND_LIMIT:
-            raise DegeneracyError(f"singular iterate: condition number above {_COND_LIMIT:g}")
-        Si = (V * (1.0 / lam)) @ V.conj().T
-        t = np.einsum("ij,ij->j", Zc, Si @ Z).real
+        t = _whitened_norms(L, Z)
         y = _solve_weight_scale(spec, t, p)
-        T = _weighted_scatter(Z, Zc, spec.u(t * y))
-        norm_S = np.linalg.norm(S)
-        resid = np.linalg.norm(T - S) / norm_S
-        if resid <= opts.tol and prev <= opts.tol:
+        T = _weighted_scatter(Z, spec.u(t * y))
+        f = (T - S).view(np.float64).ravel()
+        norm_S = _frobenius(S)
+        resid = float(np.sqrt(np.dot(f, f))) / norm_S
+        if resid <= opts.tol:
             # Certify the contract on the plain (uncorrected) map before returning.
-            plain = np.linalg.norm(_weighted_scatter(Z, Zc, spec.u(t)) - S) / norm_S
+            plain = _frobenius(_weighted_scatter(Z, spec.u(t)) - S) / norm_S
             if plain <= opts.tol:
                 return HermitianMatrix(S)
-        prev = resid
-        S = T
+
+        if f_prev is not None:
+            dF.append(f - f_prev)
+            dT.append(T - T_prev)
+            if len(dF) > _ANDERSON_MEMORY:
+                del dF[0], dT[0]
+        f_prev, T_prev = f, T
+        S, L = T, None
+        if dF:
+            try:
+                D = np.array(dF)
+                gamma = _solve_gram((D @ D.T).tolist(), (D @ f).tolist())
+                mixed = T - gamma[0] * dT[0]
+                for g, d in zip(gamma[1:], dT[1:]):
+                    mixed -= g * d
+                L = np.linalg.cholesky(mixed)
+                S = mixed
+            except np.linalg.LinAlgError:
+                # A dependent history, or a mix outside the positive-definite cone: restart from the plain image.
+                dF.clear()
+                dT.clear()
+                f_prev = None
+        if L is None:
+            L = _cholesky(S)
     raise ConvergenceError(
         f"no convergence within {opts.max_iter} iterations (last residual {resid:.3e})",
         residual=resid,

@@ -1,20 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import cesevd.experiments as experiments
 from cesevd import (
     CesDistribution,
+    ExperimentConfig,
     MEstimatorSpec,
     RandomStream,
     SolverOptions,
+    build_factor_model,
     fixed_point_solve,
     gaussian_spec,
+    run_experiment,
     sample_coupled,
     scm,
     solve_sigma,
     student_spec,
     toeplitz_scatter,
 )
-from cesevd.errors import DegeneracyError, InputError
+from cesevd.errors import ConvergenceError, DegeneracyError, InputError
 
 GRID = np.linspace(0.0, 50.0, 2001)
 
@@ -23,6 +29,24 @@ def t_sample(p=20, d=3.0, n=2000, seed=0, rho=0.9 * np.exp(1j * np.pi / 4)):
     Sig = toeplitz_scatter(p, rho)
     cs = sample_coupled(CesDistribution.student_t(d), Sig, n, RandomStream(seed, 0))
     return Sig, cs
+
+
+def plain_residual(spec, Z, S):
+    """Relative plain fixed-point residual of S, computed without the solver's kernels."""
+    t = np.einsum("ij,ij->j", Z.conj(), np.linalg.solve(S, Z)).real
+    T = (Z * spec.u(t)) @ Z.conj().T / Z.shape[1]
+    return np.linalg.norm(T - S) / np.linalg.norm(S)
+
+
+def counting_u(spec):
+    """`spec` with a call counter on its weight function."""
+    calls = [0]
+
+    def u(t):
+        calls[0] += 1
+        return spec.u(t)
+
+    return dataclasses.replace(spec, u=u), calls
 
 
 class TestSpecs:
@@ -83,10 +107,69 @@ class TestFixedPoint:
         Sig, cs = t_sample(p=8, n=400, seed=4)
         spec = student_spec(8, 3.0)
         est = fixed_point_solve(spec, cs.Z)
-        Si = np.linalg.inv(est.entries)
-        t = np.einsum("ij,ij->j", cs.Z.conj(), Si @ cs.Z).real
-        T = (cs.Z * spec.u(t)) @ cs.Z.conj().T / cs.Z.shape[1]
-        assert np.linalg.norm(T - est.entries) / np.linalg.norm(est.entries) <= 1e-10
+        assert plain_residual(spec, cs.Z, est.entries) <= 1e-10
+
+    def test_residual_contract_ill_conditioned_factor_model(self):
+        # condition number 1e4 at n=2000, where the accelerated sweeps stop after few steps
+        p, r = 20, 5
+        rng = np.random.default_rng(13)
+        Ur, _ = np.linalg.qr(rng.standard_normal((p, r)) + 1j * rng.standard_normal((p, r)))
+        model = build_factor_model(Ur, (1e4, 3e3, 1e3, 3e2, 1e2), 1.0)
+        Z = sample_coupled(CesDistribution.student_t(3.0), model.sigma, 2000, RandomStream(14, 0)).Z
+        spec = student_spec(p, 3.0)
+        est = fixed_point_solve(spec, Z)
+        assert plain_residual(spec, Z, est.entries) <= 1e-10
+
+    def test_sweep_count_guard(self):
+        # the unaccelerated iteration took 43 weight evaluations on this sample
+        _, cs = t_sample(p=20, n=40, seed=3)
+        spec, calls = counting_u(student_spec(20, 3.0))
+        fixed_point_solve(spec, cs.Z)
+        assert calls[0] <= 25
+
+    def test_unit_weight_stops_after_two_sweeps(self):
+        _, cs = t_sample(p=6, n=300, seed=2)
+        spec, calls = counting_u(gaussian_spec())
+        assert np.array_equal(fixed_point_solve(spec, cs.Z).entries, scm(cs.Z).entries)
+        assert calls[0] == 3  # two sweeps and the certification
+
+    def test_rejected_anderson_mix_falls_back_to_plain_image(self, monkeypatch):
+        _, cs = t_sample(p=20, n=40, seed=12)
+        spec = student_spec(20, 3.0)
+        reference = fixed_point_solve(spec, cs.Z).entries
+        cholesky = np.linalg.cholesky
+        factored = []
+
+        def reject_first_mix(S):
+            # calls 1 and 2 factor the start and the first plain image; call 3 the first Anderson mix
+            factored.append(S)
+            if len(factored) == 3:
+                raise np.linalg.LinAlgError("injected: mix is not positive definite")
+            return cholesky(S)
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject_first_mix)
+        est = fixed_point_solve(spec, cs.Z).entries
+        assert len(factored) > 4
+        assert not np.array_equal(factored[2], factored[3])  # the plain image replaced the mix
+        assert plain_residual(spec, cs.Z, est) <= 1e-10
+        assert np.linalg.norm(est - reference) / np.linalg.norm(reference) < 1e-8
+
+    def test_robust_solve_retries_after_convergence_error(self, monkeypatch):
+        real = experiments.fixed_point_solve
+        seen = []
+
+        def fail_first(spec, Z, opts):
+            seen.append(opts)
+            if len(seen) == 1:
+                raise ConvergenceError("injected", residual=1.0)
+            return real(spec, Z, opts)
+
+        monkeypatch.setattr(experiments, "fixed_point_solve", fail_first)
+        cfg = ExperimentConfig(p=6, n_grid=(50,), trials=1, seed=99)
+        res = run_experiment(cfg)
+        assert res.metadata["excluded"] == "none"
+        assert len(seen) == 2
+        assert seen[1] == SolverOptions(max_iter=2 * SolverOptions().max_iter, init="scm")
 
     def test_insufficient_samples_degenerate(self):
         _, cs = t_sample(p=20, n=2000, seed=5)

@@ -149,6 +149,13 @@ class TestTheoryColumns:
 
 
 class TestFailurePolicy:
+    def test_crlb_scm_runs_where_theta1_estimate_is_negative(self):
+        # at this seed the Monte Carlo theta1 of the scm weight comes out negative; crlb never uses it
+        cfg = ExperimentConfig(experiment="crlb", estimator="scm", n_grid=(40,), trials=1, seed=989739967)
+        res = run_experiment(cfg)
+        assert res.metadata["excluded"] == "none"
+        assert "theta1" not in res.metadata
+
     def test_campaign_error_when_solver_cannot_run(self):
         # n <= p: every trial degenerates, exclusions exceed 1%
         cfg = fast_config(n_grid=(4,), trials=2)
