@@ -17,8 +17,10 @@ _CALIBRATION_STREAM = RandomStream(seed=0x5CA1E, index=0)
 
 # Anderson mixing memory: how many past sweeps each mix combines.
 _ANDERSON_MEMORY = 3
-# Newton/bisection steps allowed for the per-sweep scale root.
+# Newton/bisection steps allowed for the scale root.
 _SCALE_MAX_STEPS = 60
+# Entries per streamed piece of the scale root's sums: 512 KiB of float64.
+_SCALE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,33 +118,42 @@ def scm(Z) -> HermitianMatrix:
     return HermitianMatrix(_weighted_scatter(Z, None))
 
 
-def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> float:
-    """Root y of mean(psi(t*y)) = p; y = 1/c recalibrates the iterate scale.
+def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[float, float]:
+    """Root y of mean(psi(t*y)) = p, and mean(psi(t*y)) - p at the last evaluation.
+
+    In a sweep y = 1/c recalibrates the iterate scale; in `solve_sigma`, t is
+    the modular-variate sample and y the calibrated scale.
 
     mean(psi(t*y)) is non-decreasing in y and its root is y = 1 at any fixed
     point (trace identity), so Newton steps start there. Every evaluation
     narrows a bracket on the root, and a step that leaves the bracket is
-    replaced by bisection (or by doubling while no upper end is known).
+    replaced by bisection (or by doubling while no upper end is known). Each
+    step is one pass over `t` in chunks of _SCALE_CHUNK entries, so no
+    temporary is as large as a long `t`; a `t` within one chunk is summed in
+    one piece, with the arithmetic of an unchunked evaluation.
     """
     n = t.shape[0]
     target = n * p
+    chunks = [t[i:i + _SCALE_CHUNK] for i in range(0, n, _SCALE_CHUNK)]
     lo, hi = 0.0, np.inf
     y = 1.0
     for _ in range(_SCALE_MAX_STEPS):
-        ty = t * y
-        val = float(spec.psi(ty).sum()) - target
+        val, slope = -target, 0.0
+        for c in chunks:  # one pass per step: both sums, chunk by chunk
+            cy = c * y
+            val += float(spec.psi(cy).sum())
+            slope += float(np.dot(spec.psi_prime(cy), c))
         if abs(val) <= 1e-13 * target:
-            return y
+            return y, val / n
         if val > 0:
             hi = y
         else:
             lo = y
-        slope = float(np.dot(spec.psi_prime(ty), t))
         step = y - val / slope if slope > 0 else np.nan
         if not lo < step < hi:
             step = 0.5 * (lo + hi) if hi < np.inf else 2.0 * y
         elif abs(step - y) <= 1e-8 * y:
-            return step  # Newton converges quadratically: the error left is ~1e-16 y
+            return step, val / n  # Newton converges quadratically: the error left is ~1e-16 y
         y = step
     raise DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
 
@@ -235,7 +246,7 @@ def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None
     resid = np.inf
     for _ in range(opts.max_iter):
         t = _whitened_norms(L, Z)
-        y = _solve_weight_scale(spec, t, p)
+        y, _ = _solve_weight_scale(spec, t, p)
         T = _weighted_scatter(Z, spec.u(t * y))
         f = (T - S).view(np.float64).ravel()
         norm_S = _frobenius(S)
@@ -284,31 +295,27 @@ def solve_sigma(
 ) -> float:
     """Scale sigma with mean(Psi(sigma * Q)) = p under the modular law of `dist`.
 
-    The expectation is estimated once on a pinned-seed Monte Carlo sample and
-    the monotone scalar equation is then bisected to bracket width 1e-12; the
-    returned sigma satisfies |mean(Psi(sigma Q)) - p| < 1e-3 p on that sample.
+    The expectation is estimated once on a pinned-seed Monte Carlo sample Q,
+    and the monotone scalar equation is solved on it by the safeguarded Newton
+    root the solver sweeps use, started from sigma = 1. Each Newton step is
+    one pass over Q in fixed-size chunks: 2 passes for the unit weight, about
+    3 for the Student weight, and no temporary near the size of Q, so the
+    peak memory is Q itself (8 bytes per draw). CalibrationError when there
+    is no root or it lies outside [1e-3, 1e3]; the returned sigma satisfies
+    |mean(Psi(sigma Q)) - p| < 1e-3 p at the last evaluation.
     For bounded Psi the result is accurate to ~1e-4 relative; for unbounded
     Psi on heavy-tailed laws (unit weight with dof <= 4) accuracy is limited
     by the slow convergence of the sample mean (~1% at the default draws).
     """
-    stream = stream or _CALIBRATION_STREAM
-    Q = modular_variate_sample(dist, p, draws, stream)
-
-    def h(s):
-        return float(np.mean(spec.psi(s * Q))) - p
-
-    lo, hi = 1e-3, 1e3
-    if h(lo) > 0 or h(hi) < 0:
-        raise CalibrationError("no sign change for the scale equation on [1e-3, 1e3]")
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if h(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
-    if abs(h(sigma)) >= 1e-3 * p:
-        raise CalibrationError("bisection finished but the scale equation residual is too large")
+    Q = modular_variate_sample(dist, p, draws, stream or _CALIBRATION_STREAM)
+    try:
+        sigma, resid = _solve_weight_scale(spec, Q, p)
+    except DegeneracyError:
+        raise CalibrationError("the scale equation has no root") from None
+    if not 1e-3 <= sigma <= 1e3:
+        raise CalibrationError(f"the scale root {sigma:.3g} lies outside [1e-3, 1e3]")
+    if abs(resid) >= 1e-3 * p:
+        raise CalibrationError("the scale equation residual is too large")
     return sigma
 
 

@@ -84,8 +84,8 @@ class ExperimentConfig:
             raise ConfigError("d must be > 0")
         if not 0 <= self.rho_mod < 1:
             raise ConfigError("rho_mod must be in [0, 1)")
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid entries must be >= 1")
+        if any(n <= self.p for n in self.n_grid):
+            raise ConfigError(f"n_grid entries must exceed p={self.p}: the estimators need n > p samples")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         if not 1 <= self.trials < 2**31:

@@ -141,7 +141,9 @@ def modular_variate_sample(dist: CesDistribution, p: int, count: int, stream: Ra
     rng = stream.generator()
     if dist.kind == "gaussian":
         return rng.gamma(p, 1.0, count)
-    return p * rng.f(2 * p, dist.dof, count)
+    Q = rng.f(2 * p, dist.dof, count)
+    Q *= p  # in place: one array of `count` draws, bitwise equal to p * F
+    return Q
 
 
 def coupled_modular_variates(

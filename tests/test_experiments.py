@@ -13,8 +13,9 @@ from cesevd import (
     run_experiment,
     write_csv,
 )
+import cesevd.experiments as exp
 from cesevd.cli import main
-from cesevd.errors import CampaignError, ConfigError
+from cesevd.errors import CampaignError, ConfigError, ConvergenceError
 
 FAST = dict(p=6, d=3.0, n_grid=(50, 100), trials=10, seed=99, r=2, lambda_r=(60.0, 30.0))
 
@@ -23,10 +24,26 @@ def fast_config(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
 
 
+def fail_first_solves(monkeypatch, count):
+    """Make the campaign's first `count` solver calls raise ConvergenceError; a failed trial makes two."""
+    real = exp.fixed_point_solve
+    calls = [0]
+
+    def flaky(spec, Z, opts):
+        calls[0] += 1
+        if calls[0] <= count:
+            raise ConvergenceError("injected", residual=1.0)
+        return real(spec, Z, opts)
+
+    monkeypatch.setattr(exp, "fixed_point_solve", flaky)
+
+
 class TestConfig:
     def test_validation_catches_bad_grid(self):
         with pytest.raises(ConfigError):
             fast_config(n_grid=(100, 50)).validate()
+        with pytest.raises(ConfigError):
+            fast_config(n_grid=(6, 50)).validate()  # n = p: no full-rank solution
 
     def test_validation_catches_bad_rank(self):
         with pytest.raises(ConfigError):
@@ -156,27 +173,14 @@ class TestFailurePolicy:
         assert res.metadata["excluded"] == "none"
         assert "theta1" not in res.metadata
 
-    def test_campaign_error_when_solver_cannot_run(self):
-        # n <= p: every trial degenerates, exclusions exceed 1%
-        cfg = fast_config(n_grid=(4,), trials=2)
-        with pytest.raises(CampaignError):
-            run_experiment(cfg)
+    def test_campaign_error_when_solver_cannot_run(self, monkeypatch):
+        # 2 of 150 trials fail the solve and its retry: 1.3% exceeds the 1% abort threshold
+        fail_first_solves(monkeypatch, 4)
+        with pytest.raises(CampaignError, match="2/150"):
+            run_experiment(fast_config(n_grid=(50,), trials=150))
 
     def test_failed_trials_are_reported(self, monkeypatch):
-        import cesevd.experiments as exp
-
-        real = exp._robust_solve
-        calls = {"k": 0}
-
-        def flaky(spec, Z, opts):
-            calls["k"] += 1
-            if calls["k"] == 1:
-                from cesevd.errors import ConvergenceError
-
-                raise ConvergenceError("injected", residual=1.0)
-            return real(spec, Z, opts)
-
-        monkeypatch.setattr(exp, "_robust_solve", flaky)
+        fail_first_solves(monkeypatch, 2)  # 1 of 150 trials fails: within the 1% threshold
         res = run_experiment(fast_config(n_grid=(50,), trials=150))
         assert res.metadata["excluded"] == "50:1"
 
@@ -210,13 +214,25 @@ class TestCli:
         cfg.write_text("experimnt = crlb\n")
         assert main(["run", "--config", str(cfg)]) == 2
 
-    def test_campaign_error_exit_code(self, tmp_path):
+    def test_campaign_error_exit_code(self, tmp_path, monkeypatch):
+        fail_first_solves(monkeypatch, 2)
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "50",
+            "--trials", "2", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+
+    def test_grid_not_above_p_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exp, "sample_coupled", lambda *args: pytest.fail("a trial ran"))
         out = tmp_path / "r.csv"
         code = main([
             "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "4",
             "--trials", "2", "--seed", "1", "--out", str(out),
         ])
-        assert code == 3
+        assert code == 2
+        assert not out.exists()
 
     def test_coeffs_command(self, capsys):
         assert main(["coeffs", "--p", "4", "--d", "3", "--draws", "200000"]) == 0

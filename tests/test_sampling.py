@@ -120,6 +120,12 @@ class TestModularVariate:
         crit = 1.628 * np.sqrt(2 / n)  # two-sample KS critical value at alpha = 0.01
         assert ks.statistic < crit
 
+    def test_student_is_p_times_f_draw_bitwise(self):
+        p, d = 20, 3.0
+        q = modular_variate_sample(CesDistribution.student_t(d), p, 1000, RandomStream(11, 0))
+        expected = p * RandomStream(11, 0).generator().f(2 * p, d, 1000)
+        assert np.array_equal(q, expected)
+
     def test_coupled_variates_match_full_sampler_law(self):
         # same joint law as sample_coupled: Q = d * ||g||^2 / u
         p, d = 6, 3.0
