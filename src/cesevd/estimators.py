@@ -130,7 +130,9 @@ def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[fl
     replaced by bisection (or by doubling while no upper end is known). Each
     step is one pass over `t` in chunks of _SCALE_CHUNK entries, so no
     temporary is as large as a long `t`; a `t` within one chunk is summed in
-    one piece, with the arithmetic of an unchunked evaluation.
+    one piece, with the arithmetic of an unchunked evaluation. No sum goes
+    through BLAS, whose threaded dot product would make the root depend on
+    the BLAS thread count.
     """
     n = t.shape[0]
     target = n * p
@@ -142,7 +144,7 @@ def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[fl
         for c in chunks:  # one pass per step: both sums, chunk by chunk
             cy = c * y
             val += float(spec.psi(cy).sum())
-            slope += float(np.dot(spec.psi_prime(cy), c))
+            slope += float(np.einsum("i,i->", spec.psi_prime(cy), c))
         if abs(val) <= 1e-13 * target:
             return y, val / n
         if val > 0:

@@ -122,6 +122,20 @@ def _robust_solve(spec, Z, opts: SolverOptions):
         return fixed_point_solve(spec, Z, retry)
 
 
+def _pd_scm(Z):
+    """The unit weight's fixed point, which is exactly the SCM, computed without iterating.
+
+    A sample whose SCM is not positive definite is degenerate (DegeneracyError),
+    as it is for the solver, whose Cholesky factorization rejects it.
+    """
+    S = scm(Z)
+    try:
+        np.linalg.cholesky(S.entries)
+    except np.linalg.LinAlgError:
+        raise DegeneracyError("sample covariance is not positive definite") from None
+    return S
+
+
 class _Campaign:
     """Per-experiment context: model, estimator spec, theory columns, trial statistic."""
 
@@ -179,7 +193,7 @@ class _Campaign:
     def trial(self, n: int, stream: RandomStream) -> tuple[float, ...]:
         cfg = self.config
         cs = sample_coupled(self.dist, self.Sigma, n, stream)
-        SM = _robust_solve(self.spec, cs.Z, self.opts)
+        SM = _robust_solve(self.spec, cs.Z, self.opts) if cfg.estimator == "student" else _pd_scm(cs.Z)
         sig = self.sigma_scale
         name = cfg.experiment
 

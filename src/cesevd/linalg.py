@@ -1,12 +1,14 @@
 """Complex Hermitian primitives: canonical EVD, Toeplitz scatter, vec/kron machinery.
 
 Everything here is pure and allocation-only; matrices are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads, so a matrix's eigendecomposition
+is computed once and cached on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,6 +64,25 @@ class HermitianMatrix:
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        lam, V = np.linalg.eigh(self.entries)
+        lam.setflags(write=False)
+        V.setflags(write=False)
+        return lam, V
+
+
+def hermitian_eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """`np.linalg.eigh` of a Hermitian matrix: ascending eigenvalues, eigenvectors as columns.
+
+    A HermitianMatrix is decomposed on first use and keeps the read-only pair,
+    so a fixed scatter shared by every trial is factorized once; raw arrays
+    are validated and decomposed afresh. Callers check definiteness themselves.
+    """
+    if isinstance(M, HermitianMatrix):
+        return M._eigh
+    return np.linalg.eigh(hermitian_entries(M))
 
 
 def hermitian_entries(M) -> np.ndarray:

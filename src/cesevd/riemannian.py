@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, InputError
 from .estimators import student_spec
-from .linalg import HermitianMatrix, hermitian_entries
+from .linalg import HermitianMatrix, hermitian_eigh, hermitian_entries
 from .sampling import CesDistribution, RandomStream, modular_variate_sample
 
 _ALPHA_STREAM = RandomStream(seed=0xA1FA, index=0)
@@ -43,15 +43,14 @@ class IntrinsicBound:
 
 
 def _pd_eigh(M) -> tuple[np.ndarray, np.ndarray]:
-    S = hermitian_entries(M)
-    w, V = np.linalg.eigh(S)
+    w, V = hermitian_eigh(M)
     if w[0] <= 0:
         raise DomainError("matrix is not positive definite")
     return w, V
 
 
 def _whitened(S1, S2) -> np.ndarray:
-    """S1^{-1/2} S2 S1^{-1/2}, Hermitized."""
+    """S1^{-1/2} S2 S1^{-1/2}, Hermitized; S1's eigendecomposition is cached when it is a HermitianMatrix."""
     w, V = _pd_eigh(S1)
     ish = (V / np.sqrt(w)) @ V.conj().T
     W = ish @ hermitian_entries(S2) @ ish

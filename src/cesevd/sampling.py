@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import hermitian_entries
+from .linalg import hermitian_eigh
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,9 +97,17 @@ class CoupledSample:
 
 
 def _standard_complex_normal(rng: np.random.Generator, p: int, n: int) -> np.ndarray:
-    # Fixed draw order (real block then imaginary block) pins reproducibility.
-    blocks = rng.standard_normal((2, p, n))
-    return (blocks[0] + 1j * blocks[1]) / np.sqrt(2)
+    """(b0 + 1j*b1)/sqrt(2) for a real block b0 drawn before b1, built in place.
+
+    Scaling each part by 1/sqrt(2) is bitwise what complex division by the
+    real sqrt(2) computes, without its complex temporaries.
+    """
+    b = rng.standard_normal((2, p, n))  # fixed draw order pins reproducibility
+    scale = 1.0 / np.sqrt(2)
+    g = np.empty((p, n), dtype=complex)
+    np.multiply(b[0], scale, out=g.real)
+    np.multiply(b[1], scale, out=g.imag)
+    return g
 
 
 def sample_coupled(dist: CesDistribution, Sigma, n: int, stream: RandomStream) -> CoupledSample:
@@ -107,21 +115,24 @@ def sample_coupled(dist: CesDistribution, Sigma, n: int, stream: RandomStream) -
 
     For the Student t the coupling is z = x * sqrt(dof/u) with u ~ chi2(dof)
     independent of g, which realizes Q = dof * ||g||^2 / u jointly with
-    ||g||^2. A is the Hermitian square root of Sigma.
+    ||g||^2. A is the Hermitian square root of Sigma, formed from the
+    eigendecomposition that a `HermitianMatrix` caches, so a campaign
+    factorizes its true scatter once rather than once per trial; ||g||^2 is
+    summed on the real view of g.
     """
     if n < 1:
         raise InputError("sample size n must be >= 1")
-    S = hermitian_entries(Sigma)
-    lam, V = np.linalg.eigh(S)
+    lam, V = hermitian_eigh(Sigma)
     if lam[0] <= 0:
         raise InputError("Sigma must be positive definite")
     A = (V * np.sqrt(lam)) @ V.conj().T
-    p = S.shape[0]
+    p = lam.shape[0]
 
     rng = stream.generator()
     g = _standard_complex_normal(rng, p, n)
     X = A @ g
-    gnorm2 = np.einsum("ij,ij->j", g.conj(), g).real
+    sq = np.einsum("ij,ij->j", g.view(np.float64), g.view(np.float64))
+    gnorm2 = sq[0::2] + sq[1::2]
     if dist.kind == "gaussian":
         Z = X.copy()
         Q = gnorm2.copy()

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -307,6 +310,19 @@ class TestSolveSigma:
         monkeypatch.setattr(estimators, "_SCALE_CHUNK", t.size)
         whole, _ = estimators._solve_weight_scale(spec, t, 20)
         assert abs(chunked - whole) <= 1e-14 * whole
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        # BLAS threads a dot product over the long calibration chunks, and its rounding follows the thread count
+        code = ("from cesevd import CesDistribution, gaussian_spec, solve_sigma; "
+                "print(repr(solve_sigma(gaussian_spec(), CesDistribution.student_t(3.0), 20)))")
+        src = os.path.dirname(os.path.dirname(estimators.__file__))
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            out.append(proc.stdout.strip())
+        assert out[0] == out[1]
 
     def test_calibration_peak_memory(self):
         # the 4M draws alone take 30.5 MiB; one temporary of their size would double the peak

@@ -7,6 +7,8 @@ from cesevd import (
     ExperimentConfig,
     coeffs_closed_form_student,
     config_from_mapping,
+    fixed_point_solve,
+    gaussian_spec,
     parse_config_file,
     read_csv,
     render_svg,
@@ -173,6 +175,23 @@ class TestFailurePolicy:
         assert res.metadata["excluded"] == "none"
         assert "theta1" not in res.metadata
 
+    def test_singular_scm_sample_excluded(self, monkeypatch):
+        # a zero row makes the SCM singular: the trial is excluded as a NumericError, as the solver excluded it
+        real = exp.sample_coupled
+        calls = [0]
+
+        def zero_row_once(*args):
+            cs = real(*args)
+            calls[0] += 1
+            if calls[0] == 1:
+                cs.Z[0] = 0
+            return cs
+
+        monkeypatch.setattr(exp, "sample_coupled", zero_row_once)
+        res = run_experiment(fast_config(experiment="crlb", estimator="scm", n_grid=(50,), trials=100))
+        assert res.metadata["excluded"] == "50:1"
+        assert all(math.isfinite(v) for v in res.rows[0])
+
     def test_campaign_error_when_solver_cannot_run(self, monkeypatch):
         # 2 of 150 trials fail the solve and its retry: 1.3% exceeds the 1% abort threshold
         fail_first_solves(monkeypatch, 4)
@@ -183,6 +202,21 @@ class TestFailurePolicy:
         fail_first_solves(monkeypatch, 2)  # 1 of 150 trials fails: within the 1% threshold
         res = run_experiment(fast_config(n_grid=(50,), trials=150))
         assert res.metadata["excluded"] == "50:1"
+
+
+class TestScmEstimator:
+    def test_csv_bytes_equal_unit_weight_solve(self, tmp_path, monkeypatch):
+        # the direct SCM estimate writes the bytes that the unit-weight fixed-point solve wrote
+        cfg = dict(experiment="crlb", estimator="scm", n_grid=(40, 228), trials=4, seed=5)
+        write_csv(run_experiment(ExperimentConfig(**cfg)), tmp_path / "direct.csv")
+        monkeypatch.setattr(exp, "_pd_scm", lambda Z: fixed_point_solve(gaussian_spec(), Z))
+        write_csv(run_experiment(ExperimentConfig(**cfg)), tmp_path / "solved.csv")
+        assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "solved.csv").read_bytes()
+
+    def test_no_fixed_point_solve(self, monkeypatch):
+        monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("the scm estimator iterated"))
+        res = run_experiment(fast_config(experiment="crlb", estimator="scm", n_grid=(50,), trials=2))
+        assert res.metadata["excluded"] == "none"
 
 
 class TestCli:

@@ -13,6 +13,7 @@ from cesevd import (
     vec,
 )
 from cesevd.errors import DomainError, InputError, SizeGuardError
+from cesevd.linalg import hermitian_eigh
 
 
 def random_hermitian(rng, p, pd=False):
@@ -45,6 +46,29 @@ class TestHermitianMatrix:
         H = HermitianMatrix(np.eye(3, dtype=complex))
         with pytest.raises(ValueError):
             H.entries[0, 0] = 5
+
+
+class TestHermitianEigh:
+    def test_cached_pair_equals_fresh_eigh_bytes(self):
+        H = toeplitz_scatter(20, 0.9 * np.exp(1j * np.pi / 4))
+        lam, V = hermitian_eigh(H)
+        fresh_lam, fresh_V = np.linalg.eigh(np.array(H.entries))
+        assert lam.tobytes() == fresh_lam.tobytes() and V.tobytes() == fresh_V.tobytes()
+        again = hermitian_eigh(H)
+        assert again[0] is lam and again[1] is V
+
+    def test_cached_pair_read_only(self):
+        lam, V = hermitian_eigh(HermitianMatrix(np.eye(3, dtype=complex)))
+        with pytest.raises(ValueError):
+            lam[0] = 5
+        with pytest.raises(ValueError):
+            V[0, 0] = 5
+
+    def test_raw_array_validated(self):
+        lam, _ = hermitian_eigh(np.diag([2.0, 1.0]))
+        assert np.array_equal(lam, [1.0, 2.0])
+        with pytest.raises(InputError):
+            hermitian_eigh(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 class TestHermitianEvd:

@@ -73,6 +73,13 @@ class TestNatDistance:
         with pytest.raises(DomainError):
             nat_distance(np.diag([1.0, -1.0]), np.eye(2))
 
+    def test_rejects_indefinite_hermitian_matrix(self):
+        # the eigendecomposition cached on a HermitianMatrix keeps the check
+        S1 = HermitianMatrix(np.diag([1.0, -1.0]).astype(complex))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                nat_distance(S1, np.eye(2))
+
 
 class TestLogmap:
     def test_zero_at_base_point(self):

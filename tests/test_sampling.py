@@ -5,6 +5,7 @@ from scipy import stats as sps
 
 from cesevd import (
     CesDistribution,
+    HermitianMatrix,
     RandomStream,
     coupled_modular_variates,
     modular_variate_sample,
@@ -69,6 +70,27 @@ class TestSampleCoupled:
     def test_nonsingular_sigma_required(self):
         with pytest.raises(InputError):
             sample_coupled(CesDistribution.gaussian(), np.diag([1.0, 0.0]), 5, RandomStream(0, 0))
+
+    def test_non_pd_hermitian_matrix_rejected(self):
+        # the eigendecomposition cached on a HermitianMatrix keeps the check
+        Sig = HermitianMatrix(np.diag([1.0, -1.0]).astype(complex))
+        for _ in range(2):
+            with pytest.raises(InputError):
+                sample_coupled(CesDistribution.gaussian(), Sig, 5, RandomStream(0, 0))
+
+    @pytest.mark.parametrize("dist", [CesDistribution.gaussian(), CesDistribution.student_t(3.0)],
+                             ids=["gaussian", "student"])
+    def test_matches_complex_division_formula_bitwise(self, dist):
+        p, n = 20, 2000
+        Sig = toeplitz_scatter(p, 0.9 * np.exp(1j * np.pi / 4))
+        cs = sample_coupled(dist, Sig, n, RandomStream(21, 4))
+        rng = RandomStream(21, 4).generator()
+        b = rng.standard_normal((2, p, n))
+        lam, V = np.linalg.eigh(Sig.entries)
+        X = ((V * np.sqrt(lam)) @ V.conj().T) @ ((b[0] + 1j * b[1]) / np.sqrt(2))
+        Z = X if dist.kind == "gaussian" else X * np.sqrt(dist.dof / rng.chisquare(dist.dof, n))
+        assert np.array_equal(cs.X, X)
+        assert np.array_equal(cs.Z, Z)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(2, 8), st.integers(1, 50), st.integers(0, 10**6), st.booleans())
