@@ -30,6 +30,7 @@ from .estimators import (
     MEstimatorSpec,
     SolverOptions,
     fixed_point_solve,
+    fixed_point_solve_stack,
     gaussian_spec,
     scm,
     solve_sigma,

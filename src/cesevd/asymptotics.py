@@ -19,9 +19,9 @@ from .sampling import CesDistribution, RandomStream, coupled_modular_variates
 
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
 
-# Relative gap below which eigenvalues are treated as degenerate.
+# Relative gap below which eigenvalues are treated as degenerate (also in lowrank).
 _GAP_RTOL = 1e-10
-
+# Largest p for which a full p^2 x p^2 covariance is assembled (also in lowrank).
 _FULL_COV_MAX_DIM = 8
 
 

@@ -97,17 +97,18 @@ def _as_samples(Z) -> np.ndarray:
 
 
 def _weighted_scatter(Z: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """(1/n) sum_i w_i z_i z_i^H, exactly Hermitian, with a single p x n temporary.
+    """(1/n) sum_i w_i z_i z_i^H of a p x n sample, or of each sample of a stack, exactly Hermitian.
 
     The product is taken as conj(Z) diag(w) Z^T, the transpose of the scatter,
-    so no conjugate copy of Z outlives the call.
+    so no conjugate copy of Z outlives the call. A stack is multiplied slice
+    by slice, with the arithmetic of a single sample's call.
     """
-    n = Z.shape[1]
+    n = Z.shape[-1]
     Zw = Z.conj()
     if w is not None:
-        Zw *= w
-    S = (Zw @ Z.T).T / n
-    return (S + S.conj().T) / 2
+        Zw *= w[..., None, :]
+    S = (Zw @ Z.mT).mT / n
+    return (S + S.conj().mT) / 2
 
 
 def scm(Z) -> HermitianMatrix:
@@ -118,63 +119,88 @@ def scm(Z) -> HermitianMatrix:
     return HermitianMatrix(_weighted_scatter(Z, None))
 
 
-def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[float, float]:
-    """Root y of mean(psi(t*y)) = p, and mean(psi(t*y)) - p at the last evaluation.
+def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Root y of mean(psi(t*y)) = p for each row of `t`, and mean(psi(t*y)) - p at its last evaluation.
 
-    In a sweep y = 1/c recalibrates the iterate scale; in `solve_sigma`, t is
-    the modular-variate sample and y the calibrated scale.
+    `t` has shape (..., n); both results have shape t.shape[:-1], and a row
+    whose equation has no root gets y = nan. In a sweep y = 1/c recalibrates
+    each iterate's scale; in `solve_sigma`, t is the modular-variate sample
+    and y the calibrated scale.
 
     mean(psi(t*y)) is non-decreasing in y and its root is y = 1 at any fixed
     point (trace identity), so Newton steps start there. Every evaluation
     narrows a bracket on the root, and a step that leaves the bracket is
     replaced by bisection (or by doubling while no upper end is known). Each
-    step is one pass over `t` in chunks of _SCALE_CHUNK entries, so no
-    temporary is as large as a long `t`; a `t` within one chunk is summed in
-    one piece, with the arithmetic of an unchunked evaluation. No sum goes
+    step evaluates the rows still unsolved together, in one pass over their
+    columns in chunks of _SCALE_CHUNK, so no temporary is as large as a long
+    `t`; a row within one chunk is summed in one piece, with the arithmetic of
+    an unchunked evaluation, and its bracket logic runs on Python floats. A
+    row's result therefore does not depend on the other rows. No sum goes
     through BLAS, whose threaded dot product would make the root depend on
     the BLAS thread count.
     """
-    n = t.shape[0]
+    rows = t.reshape(-1, t.shape[-1])
+    m, n = rows.shape
     target = n * p
-    chunks = [t[i:i + _SCALE_CHUNK] for i in range(0, n, _SCALE_CHUNK)]
-    lo, hi = 0.0, np.inf
-    y = 1.0
+    y_out, r_out = [np.nan] * m, [np.nan] * m
+    lo, hi, y = [0.0] * m, [np.inf] * m, [1.0] * m
+    active, sub = list(range(m)), rows
     for _ in range(_SCALE_MAX_STEPS):
-        val, slope = -target, 0.0
-        for c in chunks:  # one pass per step: both sums, chunk by chunk
-            cy = c * y
-            val += float(spec.psi(cy).sum())
-            slope += float(np.einsum("i,i->", spec.psi_prime(cy), c))
-        if abs(val) <= 1e-13 * target:
-            return y, val / n
-        if val > 0:
-            hi = y
-        else:
-            lo = y
-        step = y - val / slope if slope > 0 else np.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if hi < np.inf else 2.0 * y
-        elif abs(step - y) <= 1e-8 * y:
-            return step, val / n  # Newton converges quadratically: the error left is ~1e-16 y
-        y = step
-    raise DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
+        # a single row is scaled by a Python float: the same products, without a column temporary
+        ys = y[active[0]] if len(active) == 1 else np.array([y[b] for b in active])[:, None]
+        val, slope = [-float(target)] * len(active), [0.0] * len(active)
+        for i in range(0, n, _SCALE_CHUNK):  # one pass per step: both sums, chunk by chunk
+            c = sub[:, i:i + _SCALE_CHUNK]
+            cy = c * ys
+            val = [v + s for v, s in zip(val, spec.psi(cy).sum(axis=-1).tolist())]
+            slope = [v + s for v, s in zip(slope, np.einsum("ij,ij->i", spec.psi_prime(cy), c).tolist())]
+        unsolved = []
+        for b, v, s in zip(active, val, slope):
+            yb = y[b]
+            if abs(v) <= 1e-13 * target:
+                y_out[b], r_out[b] = yb, v / n
+                continue
+            if v > 0:
+                hi[b] = yb
+            else:
+                lo[b] = yb
+            step = yb - v / s if s > 0 else np.nan
+            if not lo[b] < step < hi[b]:
+                step = 0.5 * (lo[b] + hi[b]) if hi[b] < np.inf else 2.0 * yb
+            elif abs(step - yb) <= 1e-8 * yb:
+                # Newton converges quadratically: the error left is ~1e-16 y
+                y_out[b], r_out[b] = step, v / n
+                continue
+            y[b] = step
+            unsolved.append(b)
+        if not unsolved:
+            break
+        if len(unsolved) < len(active):
+            sub = rows[unsolved]
+        active = unsolved
+    shape = t.shape[:-1]
+    return np.array(y_out).reshape(shape), np.array(r_out).reshape(shape)
 
 
 def _whitened_norms(L: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """t_i = z_i^H (L L^H)^{-1} z_i = ||L^{-1} z_i||^2.
+    """t_i = z_i^H (L L^H)^{-1} z_i = ||L^{-1} z_i||^2, for a sample or each sample of a stack.
 
     Summed on the real view of L^{-1} Z, so no conjugate copy is made; the
     p x n product is freed on return, before the next p x n temporary.
     """
     W = (np.linalg.inv(L) @ Z).view(np.float64)
-    sq = np.einsum("ij,ij->j", W, W)
-    return sq[0::2] + sq[1::2]
+    sq = np.einsum("...ij,...ij->...j", W, W)
+    return sq[..., 0::2] + sq[..., 1::2]
 
 
-def _frobenius(A: np.ndarray) -> float:
-    """Frobenius norm of a C-contiguous complex array, as one dot product of its real view."""
-    a = A.view(np.float64).ravel()
-    return float(np.sqrt(np.dot(a, a)))
+def _frobenius(A: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a C-contiguous complex stack, as one dot product of its real view."""
+    return _norms(A.view(np.float64).reshape(len(A), -1))
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a real (m, k) array, one BLAS dot product per row."""
+    return np.sqrt(np.vecdot(x, x))
 
 
 def _solve_gram(G: list, b: list) -> list:
@@ -206,11 +232,180 @@ def _solve_gram(G: list, b: list) -> list:
     return b
 
 
-def _cholesky(S: np.ndarray) -> np.ndarray:
+def _cholesky(S: np.ndarray) -> tuple[np.ndarray, list]:
+    """Cholesky factors of a stack, and the positions whose matrix is not positive definite.
+
+    The stack is factored in one call; only when that call fails is each
+    matrix factored on its own to find the failures (a stack of one needs no
+    second call). A failed position's factor is left undefined.
+    """
     try:
-        return np.linalg.cholesky(S)
+        return np.linalg.cholesky(S), []
     except np.linalg.LinAlgError:
-        raise DegeneracyError("singular iterate: Cholesky factorization failed") from None
+        if len(S) == 1:
+            return np.empty_like(S), [0]
+    L = np.empty_like(S)
+    bad = []
+    for j in range(len(S)):
+        try:
+            L[j] = np.linalg.cholesky(S[j])
+        except np.linalg.LinAlgError:
+            bad.append(j)
+    return L, bad
+
+
+def _singular_iterate() -> DegeneracyError:
+    return DegeneracyError("singular iterate: Cholesky factorization failed")
+
+
+class _Stack:
+    """Per-sample state of a stacked solve: the unfinished samples occupy rows [0, a) of every array.
+
+    The iterates S, their Cholesky factors L and the last image and residual
+    are each sweep's fresh arrays. The Anderson history is kept right-aligned
+    in preallocated buffers, the newest difference in the last slot, so a
+    row's k most recent differences are one contiguous, oldest-first slice.
+    """
+
+    def __init__(self, Z: np.ndarray, S: np.ndarray):
+        B, p, _ = Z.shape
+        m = _ANDERSON_MEMORY
+        self.a = B
+        self.ids = list(range(B))  # the caller's position of each row
+        self.out: list = [None] * B
+        self.Z = Z
+        self.S = S
+        self.L, bad = _cholesky(S)
+        self.T_prev = np.zeros((B, p, p), dtype=complex)  # the last image and residual
+        self.f_prev = np.zeros((B, 2 * p * p))
+        self.dF = np.zeros((B, m, 2 * p * p))  # differences of successive residuals (real views)
+        self.dT = np.zeros((B, m, p, p), dtype=complex)  # differences of successive images
+        self.k = [-1] * B  # differences held per row; -1 until the row has a previous residual
+        self.finish(bad, [_singular_iterate() for _ in bad])
+
+    def finish(self, rows, results, *sweep_arrays) -> None:
+        """Record each row's result and close the gap it leaves with the last unfinished row.
+
+        `sweep_arrays` hold this sweep's per-row values and are reordered alike.
+        """
+        arrays = (self.Z, self.S, self.L, self.T_prev, self.f_prev, self.dF, self.dT) + sweep_arrays
+        lists = (self.ids, self.k)
+        for j, res in sorted(zip(rows, results), reverse=True):
+            self.out[self.ids[j]] = res
+            last = self.a - 1
+            if j != last:
+                for arr in arrays:
+                    arr[j] = arr[last]
+                for lst in lists:
+                    lst[j] = lst[last]
+            self.a = last
+
+
+def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> list:
+    """`fixed_point_solve` of every sample of a stack, in one loop of stacked sweeps.
+
+    `Z` holds B samples of the same shape p x n: a (B, p, n) array or a
+    sequence of p x n arrays. Returns one entry per sample: its solution as a
+    HermitianMatrix, or the ConvergenceError or DegeneracyError that
+    `fixed_point_solve` raises for it. Every stacked step works sample by
+    sample with the arithmetic of a single sample's solve, so each entry is
+    bitwise what `fixed_point_solve` returns for that sample alone, whatever
+    its stack-mates and the stack size. A sample leaves the stack once it is
+    certified.
+    """
+    opts = opts or SolverOptions()
+    if len(Z) == 1:  # a stack of one is never reordered: its sample is viewed, not copied
+        Z = _as_samples(Z[0])[None]
+    else:  # the solver's own stack, whose rows it reorders as samples finish
+        Z = np.stack([_as_samples(z) for z in Z])
+    B, p, n = Z.shape
+    if n <= p:
+        raise DegeneracyError(f"need n > p samples for a full-rank solution, got n={n}, p={p}")
+    if opts.init == "identity":
+        S = np.repeat(np.eye(p, dtype=complex)[None], B, axis=0)
+    else:
+        S = _weighted_scatter(Z, None)
+        S = S * (p / np.trace(S, axis1=-2, axis2=-1).real)[:, None, None]
+    st = _Stack(Z, S)
+    m = _ANDERSON_MEMORY
+    for _ in range(opts.max_iter):
+        a = st.a
+        if not a:
+            break
+        Zs, S = st.Z[:a], st.S[:a]
+        t = _whitened_norms(st.L[:a], Zs)
+        y, _ = _solve_weight_scale(spec, t, p)
+        bad = [j for j, v in enumerate(y.tolist()) if v != v]  # no root
+        if bad:
+            err = "scale recalibration has no root; weight function unusable on this sample"
+            st.finish(bad, [DegeneracyError(err) for _ in bad], t, y)
+            a = st.a
+            Zs, S, t, y = Zs[:a], S[:a], t[:a], y[:a]
+        T = _weighted_scatter(Zs, spec.u(t * y[:, None]))
+        f = (T - S).view(np.float64).reshape(a, -1)
+        norm_S = _frobenius(S)
+        resid = _norms(f) / norm_S
+        done = []
+        for j in [j for j, r in enumerate(resid.tolist()) if r <= opts.tol]:
+            # Certify the contract on the plain (uncorrected) map before returning.
+            plain = _frobenius((_weighted_scatter(Zs[j], spec.u(t[j])) - S[j])[None])[0] / norm_S[j]
+            if plain <= opts.tol:
+                done.append(j)
+        if done:
+            st.finish(done, [HermitianMatrix(S[j]) for j in done], T, f, resid)
+            a = st.a
+            if not a:
+                break
+            S, T, f = S[:a], T[:a], f[:a]
+
+        st.dF[:a, :-1] = st.dF[:a, 1:]
+        np.subtract(f, st.f_prev[:a], out=st.dF[:a, -1])
+        st.dT[:a, :-1] = st.dT[:a, 1:]
+        np.subtract(T, st.T_prev[:a], out=st.dT[:a, -1])
+        st.f_prev, st.T_prev = f, T
+        # The next iterates: each row's Anderson mix, or its plain image.
+        S = T.copy()
+        mixed = []
+        for j in range(a):
+            k = st.k[j] = min(st.k[j] + 1, m)
+            if k < 1:
+                continue
+            D = st.dF[j, m - k:]
+            try:
+                gamma = _solve_gram((D @ D.T).tolist(), (D @ f[j]).tolist())
+            except np.linalg.LinAlgError:
+                # A dependent history: restart from the plain image.
+                st.k[j] = -1
+                continue
+            dT = st.dT[j, m - k:]
+            mix = S[j]
+            mix -= gamma[0] * dT[0]
+            for g, d in zip(gamma[1:], dT[1:]):
+                mix -= g * d
+            mixed.append(j)
+        L, bad = _cholesky(S)
+        failed = []
+        if bad:
+            S = S.copy()  # a new stack: the one just factored is left as it was passed
+            for j in bad:
+                if j in mixed:
+                    # A mix outside the positive-definite cone: restart from the plain image.
+                    st.k[j] = -1
+                    S[j] = T[j]
+                    Lj, plain_bad = _cholesky(S[j:j + 1])
+                    if not plain_bad:
+                        L[j] = Lj[0]
+                        continue
+                failed.append(j)
+        st.S, st.L = S, L
+        if failed:
+            st.finish(failed, [_singular_iterate() for _ in failed], resid)
+    for j in range(st.a):
+        st.out[st.ids[j]] = ConvergenceError(
+            f"no convergence within {opts.max_iter} iterations (last residual {resid[j]:.3e})",
+            residual=float(resid[j]),
+        )
+    return st.out
 
 
 def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> HermitianMatrix:
@@ -227,65 +422,12 @@ def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None
     cleared. Returns once the plain (unrecalibrated) fixed-point residual of
     the iterate is at or below `opts.tol`. The unit weight reaches the sample
     covariance after one sweep and returns it, bitwise equal to `scm`.
+    This is `fixed_point_solve_stack` on a stack of one sample.
     """
-    opts = opts or SolverOptions()
-    Z = _as_samples(Z)
-    p, n = Z.shape
-    if n <= p:
-        raise DegeneracyError(f"need n > p samples for a full-rank solution, got n={n}, p={p}")
-
-    if opts.init == "identity":
-        S = np.eye(p, dtype=complex)
-    else:
-        S = _weighted_scatter(Z, None)
-        S = S * (p / np.trace(S).real)
-    L = _cholesky(S)
-
-    # Anderson history: differences of successive residuals (real views) and of successive images.
-    dF: list[np.ndarray] = []
-    dT: list[np.ndarray] = []
-    f_prev = T_prev = None
-    resid = np.inf
-    for _ in range(opts.max_iter):
-        t = _whitened_norms(L, Z)
-        y, _ = _solve_weight_scale(spec, t, p)
-        T = _weighted_scatter(Z, spec.u(t * y))
-        f = (T - S).view(np.float64).ravel()
-        norm_S = _frobenius(S)
-        resid = float(np.sqrt(np.dot(f, f))) / norm_S
-        if resid <= opts.tol:
-            # Certify the contract on the plain (uncorrected) map before returning.
-            plain = _frobenius(_weighted_scatter(Z, spec.u(t)) - S) / norm_S
-            if plain <= opts.tol:
-                return HermitianMatrix(S)
-
-        if f_prev is not None:
-            dF.append(f - f_prev)
-            dT.append(T - T_prev)
-            if len(dF) > _ANDERSON_MEMORY:
-                del dF[0], dT[0]
-        f_prev, T_prev = f, T
-        S, L = T, None
-        if dF:
-            try:
-                D = np.array(dF)
-                gamma = _solve_gram((D @ D.T).tolist(), (D @ f).tolist())
-                mixed = T - gamma[0] * dT[0]
-                for g, d in zip(gamma[1:], dT[1:]):
-                    mixed -= g * d
-                L = np.linalg.cholesky(mixed)
-                S = mixed
-            except np.linalg.LinAlgError:
-                # A dependent history, or a mix outside the positive-definite cone: restart from the plain image.
-                dF.clear()
-                dT.clear()
-                f_prev = None
-        if L is None:
-            L = _cholesky(S)
-    raise ConvergenceError(
-        f"no convergence within {opts.max_iter} iterations (last residual {resid:.3e})",
-        residual=resid,
-    )
+    (result,) = fixed_point_solve_stack(spec, [Z], opts)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def solve_sigma(
@@ -310,15 +452,14 @@ def solve_sigma(
     by the slow convergence of the sample mean (~1% at the default draws).
     """
     Q = modular_variate_sample(dist, p, draws, stream or _CALIBRATION_STREAM)
-    try:
-        sigma, resid = _solve_weight_scale(spec, Q, p)
-    except DegeneracyError:
-        raise CalibrationError("the scale equation has no root") from None
+    sigma, resid = _solve_weight_scale(spec, Q, p)
+    if np.isnan(sigma):
+        raise CalibrationError("the scale equation has no root")
     if not 1e-3 <= sigma <= 1e3:
         raise CalibrationError(f"the scale root {sigma:.3g} lies outside [1e-3, 1e3]")
     if abs(resid) >= 1e-3 * p:
         raise CalibrationError("the scale equation residual is too large")
-    return sigma
+    return float(sigma)
 
 
 __all__ = [
@@ -328,5 +469,6 @@ __all__ = [
     "student_spec",
     "scm",
     "fixed_point_solve",
+    "fixed_point_solve_stack",
     "solve_sigma",
 ]

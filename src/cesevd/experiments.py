@@ -3,8 +3,10 @@
 Each trial draws a coupled sample, computes the robust estimate and the
 Gaussian-core sample covariance from the same randomness, and reduces them to
 the experiment's statistic. Per-trial streams derive from (seed, grid index,
-trial index), so results are a pure function of the configuration regardless
-of thread count or execution order.
+trial index). The trials of a grid point run in fixed blocks whose robust
+estimates come from one stacked solve; a trial's result depends neither on
+its block nor on the block size, so results are a pure function of the
+configuration regardless of thread count or execution order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ from .asymptotics import (
     eigenvector_cov_xi_trace,
 )
 from .errors import CampaignError, CesEvdError, ConfigError, ConvergenceError, DegeneracyError, NumericError
-from .estimators import SolverOptions, fixed_point_solve, gaussian_spec, scm, solve_sigma, student_spec
+from .estimators import (
+    _ANDERSON_MEMORY,
+    SolverOptions,
+    fixed_point_solve,
+    fixed_point_solve_stack,
+    gaussian_spec,
+    scm,
+    solve_sigma,
+    student_spec,
+)
 from .linalg import hermitian_evd, phase_align, toeplitz_scatter
 from .lowrank import (
     build_factor_model,
@@ -52,6 +63,10 @@ _COEFF_STREAM = (1 << 62) + 3
 _VOLATILE_METADATA = ("wall_time_s",)
 
 _DEFAULT_N_GRID = (40, 62, 95, 147, 228, 352, 543, 838, 1295, 2000)
+
+# Working set of one block of trials solved together; see `_block_trials`. Larger blocks
+# solve faster but raise peak memory: 640 KiB adds about 0.7 MB to an eig_small_n campaign.
+_BLOCK_BYTES = 640 << 10
 
 
 @dataclass
@@ -113,13 +128,50 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def _robust_solve(spec, Z, opts: SolverOptions):
-    """Default solve with one retry (core-style init, doubled budget) on failure."""
+def _block_trials(p: int, n: int) -> int:
+    """Trials per block at sample size n: as many as fit in _BLOCK_BYTES, at least one.
+
+    A trial's share of a block is its solver's Anderson history and iterates,
+    about 16 p (2 m p + 6 p) bytes for memory m, plus about five p x n complex
+    arrays (its coupled sample, its row of the solver's stack and the sweep
+    temporaries).
+    """
+    member = 16 * p * (2 * _ANDERSON_MEMORY * p + 6 * p + 5 * n)
+    return max(1, _BLOCK_BYTES // member)
+
+
+def _or_error(fn, *args):
+    """fn(*args), or the NumericError it raises."""
     try:
-        return fixed_point_solve(spec, Z, opts)
-    except (ConvergenceError, DegeneracyError):
-        retry = SolverOptions(tol=opts.tol, max_iter=2 * opts.max_iter, init="scm")
-        return fixed_point_solve(spec, Z, retry)
+        return fn(*args)
+    except NumericError as exc:
+        return exc
+
+
+def _robust_solve(spec, Z: list, opts: SolverOptions) -> list:
+    """Solve samples as one stack; a sample the stack cannot finish is retried alone (scm start, doubled budget).
+
+    One entry per sample: its estimate, or the NumericError of its retry.
+    """
+    out = fixed_point_solve_stack(spec, Z, opts)
+    retry = SolverOptions(tol=opts.tol, max_iter=2 * opts.max_iter, init="scm")
+    for b, res in enumerate(out):
+        if isinstance(res, (ConvergenceError, DegeneracyError)):
+            out[b] = _or_error(fixed_point_solve, spec, Z[b], retry)
+    return out
+
+
+def _descending_eigenvalues(mats: list) -> list:
+    """Eigenvalues of each Hermitian matrix, descending, from one stacked eigvalsh.
+
+    A NumericError stands for a matrix whose eigensolver does not converge.
+    """
+    try:
+        return list(np.linalg.eigvalsh(np.stack(mats))[:, ::-1])
+    except np.linalg.LinAlgError as exc:
+        if len(mats) == 1:
+            return [NumericError(f"eigensolver failed to converge: {exc}")]
+        return [_descending_eigenvalues([M])[0] for M in mats]
 
 
 def _pd_scm(Z):
@@ -169,6 +221,7 @@ class _Campaign:
             self.steer = steering_vector(self.model, RandomStream(config.seed, _STEER_STREAM))
         else:
             self.Sigma = toeplitz_scatter(p, config.rho_mod * np.exp(1j * config.rho_phase))
+        if config.experiment in ("eigenvalues", "eigenvectors"):
             self.evd_true = hermitian_evd(self.Sigma)
 
         name = config.experiment
@@ -190,21 +243,45 @@ class _Campaign:
 
     # ---- per-trial statistics -------------------------------------------------
 
-    def trial(self, n: int, stream: RandomStream) -> tuple[float, ...]:
+    def block(self, n: int, streams: list) -> list:
+        """Statistics of a block of trials, one stream each; a NumericError for an excluded trial.
+
+        The Student estimates of the block come from one stacked solve. Each
+        trial's sample, estimate and statistics are those it has on its own.
+        """
         cfg = self.config
-        cs = sample_coupled(self.dist, self.Sigma, n, stream)
-        SM = _robust_solve(self.spec, cs.Z, self.opts) if cfg.estimator == "student" else _pd_scm(cs.Z)
+        samples = [sample_coupled(self.dist, self.Sigma, n, stream) for stream in streams]
+        if cfg.estimator == "student":
+            estimates = _robust_solve(self.spec, [cs.Z for cs in samples], self.opts)
+        else:
+            estimates = [_or_error(_pd_scm, cs.Z) for cs in samples]
+        if cfg.experiment == "eigenvalues":
+            return self.eigenvalue_stats(samples, estimates)
+        return [
+            SM if isinstance(SM, NumericError) else _or_error(self.trial, cs, SM)
+            for cs, SM in zip(samples, estimates)
+        ]
+
+    def eigenvalue_stats(self, samples, estimates) -> list:
+        """The eigenvalues experiment's block statistics: only eigenvalues are needed, so eigvalsh, stacked."""
+        out = list(estimates)
+        ok = [b for b, SM in enumerate(estimates) if not isinstance(SM, NumericError)]
+        if not ok:
+            return out
+        lam, sig = self.evd_true.eigenvalues, self.sigma_scale
+        lamM = _descending_eigenvalues([estimates[b].entries for b in ok])
+        lamG = _descending_eigenvalues([scm(samples[b].X).entries for b in ok])
+        for b, lm, lg in zip(ok, lamM, lamG):
+            err = next((x for x in (lm, lg) if isinstance(x, NumericError)), None)
+            out[b] = err or (float(np.sum((sig * lm - lam) ** 2)), float(np.sum((sig * lm - lg) ** 2)))
+        return out
+
+    def trial(self, cs, SM) -> tuple[float, ...]:
+        """Statistics of one trial from its coupled sample and its estimate (every experiment but eigenvalues)."""
+        cfg = self.config
         sig = self.sigma_scale
         name = cfg.experiment
 
-        if name == "eigenvalues":
-            lam = self.evd_true.eigenvalues
-            lamM = hermitian_evd(SM).eigenvalues
-            lamG = hermitian_evd(scm(cs.X)).eigenvalues
-            return (
-                float(np.sum((sig * lamM - lam) ** 2)),
-                float(np.sum((sig * lamM - lamG) ** 2)),
-            )
         if name == "eigenvectors":
             j = cfg.eigvec_index
             uj = self.evd_true.eigenvectors[:, j - 1]
@@ -287,21 +364,20 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     excluded: dict[int, int] = {}
 
     for i, n in enumerate(config.n_grid):
-        def worker(k: int, _n=n, _i=i):
-            stream = RandomStream(config.seed, (_i << 32) | k)
-            try:
-                return camp.trial(_n, stream)
-            except NumericError:
-                return None
+        size = _block_trials(config.p, n)
+        blocks = [range(k, min(k + size, config.trials)) for k in range(0, config.trials, size)]
+
+        def worker(ks, _n=n, _i=i):
+            return camp.block(_n, [RandomStream(config.seed, (_i << 32) | k) for k in ks])
 
         if config.threads > 1:
             with ThreadPoolExecutor(max_workers=config.threads) as ex:
-                results = list(ex.map(worker, range(config.trials)))
+                results = [res for block in ex.map(worker, blocks) for res in block]
         else:
-            results = [worker(k) for k in range(config.trials)]
+            results = [res for ks in blocks for res in worker(ks)]
         bad = 0
         for k, res in enumerate(results):
-            if res is None:
+            if isinstance(res, NumericError):
                 bad += 1
             else:
                 stats[i, k, :] = res

@@ -7,12 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .asymptotics import _FULL_COV_MAX_DIM, _GAP_RTOL
 from .errors import DegeneracyError, DegenerateFilterError, InputError, SizeGuardError
 from .linalg import HermitianMatrix, hermitian_entries, hermitian_evd, kron
 from .sampling import RandomStream
-
-_GAP_RTOL = 1e-10
-_FULL_COV_MAX_DIM = 8
 
 # Advisory clutter-to-noise separation below which the asymptotics get strained.
 _SEPARATION_WARN_RATIO = 10.0

@@ -12,6 +12,7 @@ import cesevd.experiments as experiments
 from cesevd import (
     CesDistribution,
     ExperimentConfig,
+    HermitianMatrix,
     MEstimatorSpec,
     RandomStream,
     SolverOptions,
@@ -27,6 +28,7 @@ from cesevd import (
     toeplitz_scatter,
 )
 from cesevd.errors import CalibrationError, ConvergenceError, DegeneracyError, InputError
+from cesevd.estimators import fixed_point_solve_stack
 
 GRID = np.linspace(0.0, 50.0, 2001)
 
@@ -203,16 +205,19 @@ class TestFixedPoint:
         assert np.linalg.norm(est - reference) / np.linalg.norm(reference) < 1e-8
 
     def test_robust_solve_retries_after_convergence_error(self, monkeypatch):
-        real = experiments.fixed_point_solve
+        real_stack, real_solve = experiments.fixed_point_solve_stack, experiments.fixed_point_solve
         seen = []
 
-        def fail_first(spec, Z, opts):
+        def fail_in_block(spec, Z, opts):
             seen.append(opts)
-            if len(seen) == 1:
-                raise ConvergenceError("injected", residual=1.0)
-            return real(spec, Z, opts)
+            return [ConvergenceError("injected", residual=1.0)] + real_stack(spec, Z, opts)[1:]
 
-        monkeypatch.setattr(experiments, "fixed_point_solve", fail_first)
+        def retry(spec, Z, opts):
+            seen.append(opts)
+            return real_solve(spec, Z, opts)
+
+        monkeypatch.setattr(experiments, "fixed_point_solve_stack", fail_in_block)
+        monkeypatch.setattr(experiments, "fixed_point_solve", retry)
         cfg = ExperimentConfig(p=6, n_grid=(50,), trials=1, seed=99)
         res = run_experiment(cfg)
         assert res.metadata["excluded"] == "none"
@@ -266,6 +271,98 @@ class TestFixedPoint:
             SolverOptions(tol=0.0)
         with pytest.raises(InputError):
             SolverOptions(init="random")
+
+
+def t_samples(n, count, seed=21, p=20):
+    """`count` Student-t samples at sample size n from consecutive streams."""
+    Sig = toeplitz_scatter(p, 0.9 * np.exp(1j * np.pi / 4))
+    dist = CesDistribution.student_t(3.0)
+    return [sample_coupled(dist, Sig, n, RandomStream(seed, k)).Z for k in range(count)]
+
+
+def solve_in_blocks(spec, samples, size, opts=None):
+    """Entries of `fixed_point_solve_stack` over consecutive blocks of `size` samples."""
+    return [res for i in range(0, len(samples), size)
+            for res in fixed_point_solve_stack(spec, samples[i:i + size], opts)]
+
+
+class TestSolveStack:
+    @pytest.mark.parametrize("n", [40, 95, 2000])
+    @pytest.mark.parametrize("weight", ["student", "unit"])
+    def test_members_equal_single_solves_bitwise(self, weight, n):
+        spec = student_spec(20, 3.0) if weight == "student" else gaussian_spec()
+        samples = t_samples(n, 7)
+        single = [fixed_point_solve(spec, Z).entries for Z in samples]
+        for size in (1, 3, 7):  # a stack of one, an odd size, the full block
+            stacked = solve_in_blocks(spec, samples, size)
+            assert all(isinstance(S, HermitianMatrix) for S in stacked)
+            assert all(np.array_equal(S.entries, ref) for S, ref in zip(stacked, single))
+
+    def test_unit_weight_members_equal_scm_bitwise(self):
+        samples = t_samples(62, 5)
+        stacked = fixed_point_solve_stack(gaussian_spec(), samples)
+        assert all(np.array_equal(S.entries, scm(Z).entries) for S, Z in zip(stacked, samples))
+
+    def test_identity_start_members_equal_single_solves_bitwise(self):
+        spec, opts = student_spec(20, 3.0), SolverOptions(init="identity")
+        samples = t_samples(95, 4)
+        stacked = fixed_point_solve_stack(spec, np.stack(samples), opts)
+        assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z, opts).entries)
+                   for S, Z in zip(stacked, samples))
+
+    def test_failures_stay_with_their_member(self):
+        # a stalled member and a degenerate one do not disturb their stack-mates
+        spec, opts = student_spec(20, 3.0), SolverOptions(max_iter=5)
+        samples = t_samples(40, 4)
+        samples[2] = samples[2].copy()
+        samples[2][0] = 0  # a zero row: the start is singular
+        out = fixed_point_solve_stack(spec, samples, SolverOptions())
+        assert isinstance(out[2], DegeneracyError)
+        for b in (0, 1, 3):
+            assert np.array_equal(out[b].entries, fixed_point_solve(spec, samples[b]).entries)
+        short = fixed_point_solve_stack(spec, samples[:2], opts)
+        assert all(isinstance(res, ConvergenceError) and res.residual > opts.tol for res in short)
+
+    def test_one_rejected_mix_falls_back_for_that_member_only(self, monkeypatch):
+        spec = student_spec(20, 3.0)
+        samples = t_samples(40, 5, seed=12)
+        plain = [fixed_point_solve(spec, Z).entries for Z in samples]
+        cholesky = np.linalg.cholesky
+        factored = []
+
+        def record(S):
+            factored.append(np.array(S))
+            return cholesky(S)
+
+        monkeypatch.setattr(np.linalg, "cholesky", record)
+        fixed_point_solve(spec, samples[3])
+        target = factored[2][0]  # member 3's first Anderson mix
+
+        def reject_target(S):
+            if any(np.array_equal(M, target) for M in np.reshape(S, (-1,) + target.shape)):
+                raise np.linalg.LinAlgError("injected: mix is not positive definite")
+            return cholesky(S)
+
+        monkeypatch.setattr(np.linalg, "cholesky", reject_target)
+        fallback = fixed_point_solve(spec, samples[3]).entries
+        stacked = fixed_point_solve_stack(spec, samples)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert not np.array_equal(fallback, plain[3])  # the member took the plain image
+        assert plain_residual(spec, samples[3], fallback) <= 1e-10
+        assert np.array_equal(stacked[3].entries, fallback)
+        assert all(np.array_equal(stacked[b].entries, plain[b]) for b in (0, 1, 2, 4))
+
+    def test_scale_root_rows_equal_single_rows_bitwise(self):
+        spec = student_spec(20, 3.0)
+        rng = np.random.default_rng(3)
+        for n in (40, 95, 2000):
+            t = rng.gamma(20.0, 1.0, (6, n)) * np.linspace(0.5, 2.0, 6)[:, None]
+            t[4] = 0.0  # psi(0) = 0: no root for this row
+            y, resid = estimators._solve_weight_scale(spec, t, 20)
+            assert np.isnan(y[4]) and np.isnan(resid[4])
+            for b in (0, 1, 2, 3, 5):
+                yb, rb = estimators._solve_weight_scale(spec, t[b], 20)
+                assert y[b] == yb and resid[b] == rb
 
 
 class TestSolveSigma:

@@ -17,7 +17,7 @@ from cesevd import (
 )
 import cesevd.experiments as exp
 from cesevd.cli import main
-from cesevd.errors import CampaignError, ConfigError, ConvergenceError
+from cesevd.errors import CampaignError, ConfigError, ConvergenceError, NumericError
 
 FAST = dict(p=6, d=3.0, n_grid=(50, 100), trials=10, seed=99, r=2, lambda_r=(60.0, 30.0))
 
@@ -26,18 +26,27 @@ def fast_config(**overrides):
     return ExperimentConfig(**{**FAST, **overrides})
 
 
-def fail_first_solves(monkeypatch, count):
-    """Make the campaign's first `count` solver calls raise ConvergenceError; a failed trial makes two."""
-    real = exp.fixed_point_solve
-    calls = [0]
+def fail_first_trials(monkeypatch, count):
+    """Make the campaign's first `count` trials fail their block solve and then their retry."""
+    real_stack, real_solve = exp.fixed_point_solve_stack, exp.fixed_point_solve
+    members, retries = [0], [0]
 
-    def flaky(spec, Z, opts):
-        calls[0] += 1
-        if calls[0] <= count:
+    def stack(spec, Z, opts):
+        out = real_stack(spec, Z, opts)
+        for b in range(len(out)):
+            members[0] += 1
+            if members[0] <= count:
+                out[b] = ConvergenceError("injected", residual=1.0)
+        return out
+
+    def retry(spec, Z, opts):
+        retries[0] += 1
+        if retries[0] <= count:
             raise ConvergenceError("injected", residual=1.0)
-        return real(spec, Z, opts)
+        return real_solve(spec, Z, opts)
 
-    monkeypatch.setattr(exp, "fixed_point_solve", flaky)
+    monkeypatch.setattr(exp, "fixed_point_solve_stack", stack)
+    monkeypatch.setattr(exp, "fixed_point_solve", retry)
 
 
 class TestConfig:
@@ -91,6 +100,18 @@ class TestDeterminism:
         r1 = run_experiment(fast_config(threads=1))
         r2 = run_experiment(fast_config(threads=3))
         assert r1.rows == r2.rows
+
+    def test_block_size_does_not_change_csv_bytes(self, tmp_path, monkeypatch):
+        cfg = fast_config(n_grid=(50, 100), trials=40)
+        assert exp._block_trials(cfg.p, 100) < cfg.trials < 2 * exp._block_trials(cfg.p, 50)
+        write_csv(run_experiment(cfg), tmp_path / "blocked.csv")
+        monkeypatch.setattr(exp, "_BLOCK_BYTES", 1)  # one trial per block
+        write_csv(run_experiment(cfg), tmp_path / "single.csv")
+        assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
+
+    def test_block_sizes_fit_the_working_set(self):
+        assert exp._block_trials(20, 40) > exp._block_trials(20, 95) > 1
+        assert exp._block_trials(20, 2000) == 1
 
     def test_seed_changes_results(self):
         r1 = run_experiment(fast_config())
@@ -194,14 +215,62 @@ class TestFailurePolicy:
 
     def test_campaign_error_when_solver_cannot_run(self, monkeypatch):
         # 2 of 150 trials fail the solve and its retry: 1.3% exceeds the 1% abort threshold
-        fail_first_solves(monkeypatch, 4)
+        fail_first_trials(monkeypatch, 2)
         with pytest.raises(CampaignError, match="2/150"):
             run_experiment(fast_config(n_grid=(50,), trials=150))
 
     def test_failed_trials_are_reported(self, monkeypatch):
-        fail_first_solves(monkeypatch, 2)  # 1 of 150 trials fails: within the 1% threshold
+        fail_first_trials(monkeypatch, 1)  # 1 of 150 trials fails: within the 1% threshold
         res = run_experiment(fast_config(n_grid=(50,), trials=150))
         assert res.metadata["excluded"] == "50:1"
+
+    def test_member_failing_in_block_is_retried_to_its_own_estimate(self, monkeypatch, tmp_path):
+        # the retry starts where the block did, so a trial the block dropped ends with the same bits
+        cfg = fast_config(n_grid=(50,), trials=20)
+        write_csv(run_experiment(cfg), tmp_path / "plain.csv")
+        real = exp.fixed_point_solve_stack
+
+        def drop_third(spec, Z, opts):
+            out = real(spec, Z, opts)
+            out[2] = ConvergenceError("injected", residual=1.0)
+            return out
+
+        monkeypatch.setattr(exp, "fixed_point_solve_stack", drop_third)
+        res = run_experiment(cfg)
+        write_csv(res, tmp_path / "retried.csv")
+        assert res.metadata["excluded"] == "none"
+        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "retried.csv").read_bytes()
+
+
+class TestEigenvalueStatistic:
+    def test_descending_eigenvalues_match_eigvalsh(self):
+        rng = np.random.default_rng(4)
+        A = rng.standard_normal((3, 5, 9)) + 1j * rng.standard_normal((3, 5, 9))
+        mats = list(A @ A.conj().transpose(0, 2, 1))
+        for lam, M in zip(exp._descending_eigenvalues(mats), mats):
+            np.testing.assert_array_equal(lam, np.linalg.eigvalsh(M)[::-1])
+
+    def test_eigensolver_failure_excludes_that_matrix_only(self, monkeypatch):
+        mats = [np.eye(3, dtype=complex) * k for k in (1.0, 2.0, 3.0)]
+        eigvalsh = np.linalg.eigvalsh
+
+        def fail_on_two(M):
+            if np.any(np.asarray(M)[..., 0, 0] == 2.0):
+                raise np.linalg.LinAlgError("injected: no convergence")
+            return eigvalsh(M)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_two)
+        out = exp._descending_eigenvalues(mats)
+        assert isinstance(out[1], NumericError)
+        np.testing.assert_array_equal(out[0], [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(out[2], [3.0, 3.0, 3.0])
+
+    def test_true_scatter_evd_only_for_eigen_experiments(self, monkeypatch):
+        # crlb and intrinsic_bias read no eigendecomposition of the true scatter
+        monkeypatch.setattr(exp, "hermitian_evd", lambda *args: pytest.fail("hermitian_evd called"))
+        for experiment in ("crlb", "intrinsic_bias"):
+            res = run_experiment(fast_config(experiment=experiment, n_grid=(50,), trials=30))
+            assert res.metadata["excluded"] == "none"
 
 
 class TestScmEstimator:
@@ -215,6 +284,7 @@ class TestScmEstimator:
 
     def test_no_fixed_point_solve(self, monkeypatch):
         monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("the scm estimator iterated"))
+        monkeypatch.setattr(exp, "fixed_point_solve_stack", lambda *args: pytest.fail("the scm estimator iterated"))
         res = run_experiment(fast_config(experiment="crlb", estimator="scm", n_grid=(50,), trials=2))
         assert res.metadata["excluded"] == "none"
 
@@ -249,7 +319,7 @@ class TestCli:
         assert main(["run", "--config", str(cfg)]) == 2
 
     def test_campaign_error_exit_code(self, tmp_path, monkeypatch):
-        fail_first_solves(monkeypatch, 2)
+        fail_first_trials(monkeypatch, 1)
         out = tmp_path / "r.csv"
         code = main([
             "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "50",
