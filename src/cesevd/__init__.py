@@ -60,7 +60,6 @@ from .linalg import (
 from .lowrank import (
     FactorModel,
     build_factor_model,
-    lr_filter_weights,
     principal_projector,
     projector_cov_sigma_pi,
     projector_perturbation_first_order,

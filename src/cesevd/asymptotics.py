@@ -14,15 +14,13 @@ import numpy as np
 
 from .errors import CoefficientError, DegeneracyError, InputError, NumericError, SizeGuardError
 from .estimators import MEstimatorSpec
-from .linalg import EvdResult, HermitianMatrix, commutation, hermitian_entries, kron, vec
+from .linalg import P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, commutation, hermitian_entries, kron, vec
 from .sampling import CesDistribution, RandomStream, coupled_modular_variates
 
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
 
 # Relative gap below which eigenvalues are treated as degenerate (also in lowrank).
 _GAP_RTOL = 1e-10
-# Largest p for which a full p^2 x p^2 covariance is assembled (also in lowrank).
-_FULL_COV_MAX_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -132,8 +130,8 @@ def coeffs_numeric(
 
 def _scatter_cov_pair(S: np.ndarray, k1: float, k2: float) -> tuple[np.ndarray, np.ndarray]:
     p = S.shape[0]
-    if p > _FULL_COV_MAX_DIM:
-        raise SizeGuardError(f"full p^2 x p^2 assembly limited to p <= {_FULL_COV_MAX_DIM}, got {p}")
+    if p > P2_MATRIX_MAX_DIM:
+        raise SizeGuardError(f"full p^2 x p^2 assembly limited to p <= {P2_MATRIX_MAX_DIM}, got {p}")
     v = vec(S)
     K = commutation(p)
     base = kron(S.T, S)

@@ -2,17 +2,19 @@
 
 Each trial draws a coupled sample, computes the robust estimate and the
 Gaussian-core sample covariance from the same randomness, and reduces them to
-the experiment's statistic. Per-trial streams derive from (seed, grid index,
-trial index). The trials of a grid point run in fixed blocks whose robust
-estimates come from one stacked solve; a trial's result depends neither on
-its block nor on the block size, so results are a pure function of the
-configuration regardless of thread count or execution order.
+the experiment's statistic. Each experiment is one entry of `_EXPERIMENT_TABLE`:
+its CSV columns, set-up, statistic and theory row. Per-trial streams derive
+from (seed, grid index, trial index). The trials of a grid point run in fixed
+blocks whose robust estimates come from one stacked solve; a trial's result
+depends neither on its block nor on the block size, so results are a pure
+function of the configuration regardless of thread count or execution order.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -47,12 +49,7 @@ from .lowrank import (
 from .riemannian import ab_crlb, alpha_beta, biased_crlb_scm, ces_crb, eta, nat_distance, whitened_spectrum
 from .sampling import CesDistribution, RandomStream, sample_coupled
 
-EXPERIMENTS = ("eigenvalues", "eigenvectors", "projector", "intrinsic_bias", "crlb", "snr_loss")
 ESTIMATORS = ("student", "scm")
-
-_FACTOR_EXPERIMENTS = ("projector", "snr_loss")
-# Experiments whose theory columns use the coefficients theta/sigma; the others never compute them.
-_COEFF_EXPERIMENTS = ("eigenvalues", "eigenvectors", "projector")
 
 # Reserved stream indices, disjoint from per-trial indices (n_idx << 32 | trial).
 _MODEL_STREAM = (1 << 62) + 1
@@ -109,11 +106,16 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if not 1 <= self.eigvec_index <= self.p:
             raise ConfigError(f"eigvec_index must be in 1..{self.p}")
-        if self.experiment in _FACTOR_EXPERIMENTS:
+        experiment = _EXPERIMENT_TABLE[self.experiment]
+        if experiment.factor_model:
             if not 1 <= self.r < self.p:
                 raise ConfigError(f"rank r must satisfy 1 <= r < p, got r={self.r}, p={self.p}")
             if len(self.lambda_r) != self.r:
                 raise ConfigError(f"lambda_r must have length r={self.r}, got {len(self.lambda_r)}")
+        # The scm estimator's scale p / E[Q] is finite only for d > 2, and its theta1 = (d-2)/(d-4) only for d > 4.
+        d_min = 4 if experiment.coeffs else 2
+        if self.estimator == "scm" and not self.d > d_min:
+            raise ConfigError(f"estimator 'scm' needs d > {d_min} for {self.experiment!r}, got d={self.d:g}")
 
 
 @dataclass
@@ -189,10 +191,14 @@ def _pd_scm(Z):
 
 
 class _Campaign:
-    """Per-experiment context: model, estimator spec, theory columns, trial statistic."""
+    """Per-campaign context: model, estimator spec, theory coefficients and the experiment's set-up values.
+
+    `metadata` collects the set-up values that go into the CSV metadata, in order.
+    """
 
     def __init__(self, config: ExperimentConfig):
         self.config = config
+        self.experiment = _EXPERIMENT_TABLE[config.experiment]
         self.dist = CesDistribution.student_t(config.d)
         self.opts = SolverOptions()
         p = config.p
@@ -203,45 +209,24 @@ class _Campaign:
             sigma = solve_sigma(gaussian_spec(), self.dist, p)
             self.spec = gaussian_spec().with_sigma(sigma)
         self.sigma_scale = self.spec.sigma
-        self.coeffs = None
-        if config.experiment in _COEFF_EXPERIMENTS:
+        self.metadata = {"sigma_scale": self.sigma_scale}
+        if self.experiment.coeffs:
             if config.estimator == "student":
-                self.coeffs = coeffs_closed_form_student(p, config.d)
+                co = coeffs_closed_form_student(p, config.d)
             else:
-                self.coeffs = coeffs_numeric(
-                    self.spec, self.dist, p, stream=RandomStream(config.seed, _COEFF_STREAM)
-                )
+                co = coeffs_numeric(self.spec, self.dist, p, stream=RandomStream(config.seed, _COEFF_STREAM))
+            self.coeffs = co
+            self.metadata.update(theta1=co.theta1, theta2=co.theta2, sigma1=co.sigma1, sigma2=co.sigma2)
 
-        if config.experiment in _FACTOR_EXPERIMENTS:
+        if self.experiment.factor_model:
             rng = RandomStream(config.seed, _MODEL_STREAM).generator()
             raw = rng.standard_normal((2, p, config.r))
             Ur, _ = np.linalg.qr(raw[0] + 1j * raw[1])
             self.model = build_factor_model(Ur, np.asarray(config.lambda_r, dtype=float), config.gamma2)
             self.Sigma = self.model.sigma
-            self.steer = steering_vector(self.model, RandomStream(config.seed, _STEER_STREAM))
         else:
             self.Sigma = toeplitz_scatter(p, config.rho_mod * np.exp(1j * config.rho_phase))
-        if config.experiment in ("eigenvalues", "eigenvectors"):
-            self.evd_true = hermitian_evd(self.Sigma)
-
-        name = config.experiment
-        if name == "eigenvalues":
-            self.columns = ("n", "mse_emp_std_db", "mse_theory_std_db", "mse_emp_gcwe_db", "mse_theory_gcwe_db")
-        elif name == "eigenvectors":
-            self.columns = ("n", "mse_emp_std_db", "mse_theory_std_db", "mse_emp_gcwe_db", "mse_theory_gcwe_db")
-        elif name == "projector":
-            self.columns = ("n", "mse_emp_std_db", "mse_theory_std_db", "mse_emp_gcwe_db", "mse_theory_gcwe_db")
-        elif name == "intrinsic_bias":
-            self.columns = ("n", "eta_emp_est_db", "eta_emp_gcwe_db", "eta_theory_db")
-        elif name == "crlb":
-            self.columns = ("n", "dnat2_emp_db", "crlb_ces_db", "crlb_ab_db", "crlb_biased_gauss_db")
-            self.alpha, self.beta = alpha_beta(self.dist, p)
-        else:
-            self.columns = ("n", "snr_emp_est_db", "snr_emp_gcwe_db", "snr_emp_scm_db", "snr_theory_db")
-        self.n_stats = {"eigenvalues": 2, "eigenvectors": 2, "projector": 2,
-                        "intrinsic_bias": 2, "crlb": 1, "snr_loss": 3}[name]
-
-    # ---- per-trial statistics -------------------------------------------------
+        self.experiment.setup(self)
 
     def block(self, n: int, streams: list) -> list:
         """Statistics of a block of trials, one stream each; a NumericError for an excluded trial.
@@ -249,109 +234,159 @@ class _Campaign:
         The Student estimates of the block come from one stacked solve. Each
         trial's sample, estimate and statistics are those it has on its own.
         """
-        cfg = self.config
         samples = [sample_coupled(self.dist, self.Sigma, n, stream) for stream in streams]
-        if cfg.estimator == "student":
+        if self.config.estimator == "student":
             estimates = _robust_solve(self.spec, [cs.Z for cs in samples], self.opts)
         else:
             estimates = [_or_error(_pd_scm, cs.Z) for cs in samples]
-        if cfg.experiment == "eigenvalues":
-            return self.eigenvalue_stats(samples, estimates)
-        return [
-            SM if isinstance(SM, NumericError) else _or_error(self.trial, cs, SM)
-            for cs, SM in zip(samples, estimates)
-        ]
+        return self.experiment.stats(self, samples, estimates)
 
-    def eigenvalue_stats(self, samples, estimates) -> list:
-        """The eigenvalues experiment's block statistics: only eigenvalues are needed, so eigvalsh, stacked."""
-        out = list(estimates)
-        ok = [b for b, SM in enumerate(estimates) if not isinstance(SM, NumericError)]
-        if not ok:
-            return out
-        lam, sig = self.evd_true.eigenvalues, self.sigma_scale
-        lamM = _descending_eigenvalues([estimates[b].entries for b in ok])
-        lamG = _descending_eigenvalues([scm(samples[b].X).entries for b in ok])
-        for b, lm, lg in zip(ok, lamM, lamG):
-            err = next((x for x in (lm, lg) if isinstance(x, NumericError)), None)
-            out[b] = err or (float(np.sum((sig * lm - lam) ** 2)), float(np.sum((sig * lm - lg) ** 2)))
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One experiment: CSV columns, statistics per trial, block statistic, theory row and set-up.
+
+    `stats(camp, samples, estimates)` gives each trial's `n_stats` statistics, or the
+    NumericError that excludes it; `row(camp, n, means)` turns the trial means at n into
+    the CSV row; `setup(camp)` runs once, after the scatter, the factor model (if
+    `factor_model`) and the coefficients theta/sigma (if `coeffs`). These functions look
+    up what they call in this module when they run, since tests and the tracer swap it.
+    """
+
+    columns: tuple[str, ...]
+    n_stats: int
+    stats: Callable
+    row: Callable
+    setup: Callable = lambda camp: None
+    factor_model: bool = False
+    coeffs: bool = False
+
+
+def _per_trial(stat):
+    """The block statistic that applies `stat(camp, cs, SM)` to each trial not yet excluded."""
+    return lambda camp, samples, estimates: [
+        SM if isinstance(SM, NumericError) else _or_error(stat, camp, cs, SM) for cs, SM in zip(samples, estimates)
+    ]
+
+
+def _mse_row(limit):
+    """Row of an MSE experiment; `limit(camp, c1, c2)` is n times its limiting MSE for coefficients (c1, c2)."""
+
+    def row(camp, n, means):
+        co = camp.coeffs
+        t_std = limit(camp, co.theta1, co.theta2) / n
+        t_gcwe = limit(camp, co.sigma1, co.sigma2) / n
+        return (n, _db(means[0]), _db(t_std), _db(means[1]), _db(t_gcwe))
+
+    return row
+
+
+def _true_evd(camp) -> None:
+    camp.evd_true = hermitian_evd(camp.Sigma)
+
+
+def _eigenvalue_stats(camp, samples, estimates) -> list:
+    """Only eigenvalues are needed, so one stacked eigvalsh per block and estimate kind."""
+    out = list(estimates)
+    ok = [b for b, SM in enumerate(estimates) if not isinstance(SM, NumericError)]
+    if not ok:
         return out
-
-    def trial(self, cs, SM) -> tuple[float, ...]:
-        """Statistics of one trial from its coupled sample and its estimate (every experiment but eigenvalues)."""
-        cfg = self.config
-        sig = self.sigma_scale
-        name = cfg.experiment
-
-        if name == "eigenvectors":
-            j = cfg.eigvec_index
-            uj = self.evd_true.eigenvectors[:, j - 1]
-            uM = hermitian_evd(SM).eigenvectors[:, j - 1]
-            uG = hermitian_evd(scm(cs.X)).eigenvectors[:, j - 1]
-            perp = lambda v: v - uj * np.vdot(uj, v)
-            diff = phase_align(uM, uj) - phase_align(uG, uj)
-            return (
-                float(np.linalg.norm(perp(uM)) ** 2),
-                float(np.linalg.norm(perp(diff)) ** 2),
-            )
-        if name == "projector":
-            Pi = self.model.projector.entries
-            PiM = principal_projector(SM, cfg.r).entries
-            PiG = principal_projector(scm(cs.X), cfg.r).entries
-            return (
-                float(np.linalg.norm(PiM - Pi) ** 2),
-                float(np.linalg.norm(PiM - PiG) ** 2),
-            )
-        if name == "intrinsic_bias":
-            LM = nat_logdet_scalar(self.Sigma, sig * SM.entries)
-            LG = nat_logdet_scalar(self.Sigma, scm(cs.X).entries)
-            return (LM, LG)
-        if name == "crlb":
-            return (nat_distance(self.Sigma, sig * SM.entries) ** 2,)
-        # snr_loss
-        eye = np.eye(cfg.p)
-        rhoM = snr_loss(eye - principal_projector(SM, cfg.r).entries, self.model, self.steer)
-        rhoG = snr_loss(eye - principal_projector(scm(cs.X), cfg.r).entries, self.model, self.steer)
-        rhoS = snr_loss(eye - principal_projector(scm(cs.Z), cfg.r).entries, self.model, self.steer)
-        return (rhoM, rhoG, rhoS)
-
-    # ---- per-n reduction ------------------------------------------------------
-
-    def row(self, n: int, means: np.ndarray) -> tuple[float, ...]:
-        cfg = self.config
-        name = cfg.experiment
-        co = self.coeffs
-        if name == "eigenvalues":
-            lam = self.evd_true.eigenvalues
-            t_std = eigenvalue_cov_trace(lam, co.theta1, co.theta2) / n
-            t_gcwe = eigenvalue_cov_trace(lam, co.sigma1, co.sigma2) / n
-            return (n, _db(means[0]), _db(t_std), _db(means[1]), _db(t_gcwe))
-        if name == "eigenvectors":
-            j = cfg.eigvec_index
-            t_std = eigenvector_cov_xi_trace(self.evd_true, j, co.theta1) / n
-            t_gcwe = eigenvector_cov_xi_trace(self.evd_true, j, co.sigma1) / n
-            return (n, _db(means[0]), _db(t_std), _db(means[1]), _db(t_gcwe))
-        if name == "projector":
-            tr = projector_cov_sigma_pi(self.model)
-            return (n, _db(means[0]), _db(co.theta1 * tr / n), _db(means[1]), _db(co.sigma1 * tr / n))
-        if name == "intrinsic_bias":
-            if means[0] <= 0 or means[1] <= 0:
-                raise CampaignError("empirical intrinsic bias came out non-positive; increase trials")
-            return (n, _db(means[0]), _db(means[1]), _db(eta(cfg.p, n)))
-        if name == "crlb":
-            return (
-                n,
-                _db(means[0]),
-                _db(ces_crb(cfg.p, n, self.alpha, self.beta).value),
-                _db(ab_crlb(cfg.p, n, self.alpha, self.beta).value),
-                _db(biased_crlb_scm(cfg.p, n).value),
-            )
-        return (n, _db(means[0]), _db(means[1]), _db(means[2]), _db(snr_loss_theory(cfg.r, n)))
+    lam, sig = camp.evd_true.eigenvalues, camp.sigma_scale
+    lamM = _descending_eigenvalues([estimates[b].entries for b in ok])
+    lamG = _descending_eigenvalues([scm(samples[b].X).entries for b in ok])
+    for b, lm, lg in zip(ok, lamM, lamG):
+        err = next((x for x in (lm, lg) if isinstance(x, NumericError)), None)
+        out[b] = err or (float(np.sum((sig * lm - lam) ** 2)), float(np.sum((sig * lm - lg) ** 2)))
+    return out
 
 
-def nat_logdet_scalar(Sigma, Sigma_hat) -> float:
-    """Per-trial intrinsic-bias scalar: -trace(Sigma^{-1} logmap)/p via whitened eigenvalues."""
-    lw = whitened_spectrum(Sigma, Sigma_hat)
-    return float(-np.sum(np.log(lw)) / lw.shape[0])
+def _eigenvector_trial(camp, cs, SM) -> tuple[float, float]:
+    j = camp.config.eigvec_index
+    uj = camp.evd_true.eigenvectors[:, j - 1]
+    uM = hermitian_evd(SM).eigenvectors[:, j - 1]
+    uG = hermitian_evd(scm(cs.X)).eigenvectors[:, j - 1]
+    perp = lambda v: v - uj * np.vdot(uj, v)
+    diff = phase_align(uM, uj) - phase_align(uG, uj)
+    return (float(np.linalg.norm(perp(uM)) ** 2), float(np.linalg.norm(perp(diff)) ** 2))
+
+
+def _projector_trial(camp, cs, SM) -> tuple[float, float]:
+    Pi = camp.model.projector.entries
+    PiM = principal_projector(SM, camp.config.r).entries
+    PiG = principal_projector(scm(cs.X), camp.config.r).entries
+    return (float(np.linalg.norm(PiM - Pi) ** 2), float(np.linalg.norm(PiM - PiG) ** 2))
+
+
+def _intrinsic_bias_trial(camp, cs, SM) -> tuple[float, float]:
+    """-trace(Sigma^{-1} logmap)/p of both estimates, via their whitened eigenvalues."""
+    scalar = lambda S: float(-np.mean(np.log(whitened_spectrum(camp.Sigma, S))))
+    return (scalar(camp.sigma_scale * SM.entries), scalar(scm(cs.X).entries))
+
+
+def _intrinsic_bias_row(camp, n, means) -> tuple:
+    if means[0] <= 0 or means[1] <= 0:
+        raise CampaignError("empirical intrinsic bias came out non-positive; increase trials")
+    return (n, _db(means[0]), _db(means[1]), _db(eta(camp.config.p, n)))
+
+
+def _crlb_setup(camp) -> None:
+    camp.alpha, camp.beta = alpha_beta(camp.dist, camp.config.p)
+    camp.metadata.update(alpha=camp.alpha, beta=camp.beta)
+
+
+def _crlb_row(camp, n, means) -> tuple:
+    p, a, b = camp.config.p, camp.alpha, camp.beta
+    return (n, _db(means[0]), _db(ces_crb(p, n, a, b).value), _db(ab_crlb(p, n, a, b).value),
+            _db(biased_crlb_scm(p, n).value))
+
+
+def _steering_setup(camp) -> None:
+    camp.steer = steering_vector(camp.model, RandomStream(camp.config.seed, _STEER_STREAM))
+
+
+def _snr_loss_trial(camp, cs, SM) -> tuple[float, float, float]:
+    """Loss of the filters built from the robust estimate, the core SCM and the plain SCM of the data."""
+    eye = np.eye(camp.config.p)
+    loss = lambda S: snr_loss(eye - principal_projector(S, camp.config.r).entries, camp.model, camp.steer)
+    return (loss(SM), loss(scm(cs.X)), loss(scm(cs.Z)))
+
+
+_MSE_COLUMNS = ("n", "mse_emp_std_db", "mse_theory_std_db", "mse_emp_gcwe_db", "mse_theory_gcwe_db")
+
+# name -> (columns, n_stats, stats, row, setup, factor_model, coeffs)
+_EXPERIMENT_TABLE = {
+    "eigenvalues": _Experiment(
+        _MSE_COLUMNS, 2, _eigenvalue_stats,
+        _mse_row(lambda camp, c1, c2: eigenvalue_cov_trace(camp.evd_true.eigenvalues, c1, c2)),
+        _true_evd, coeffs=True,
+    ),
+    "eigenvectors": _Experiment(
+        _MSE_COLUMNS, 2, _per_trial(_eigenvector_trial),
+        _mse_row(lambda camp, c1, c2: eigenvector_cov_xi_trace(camp.evd_true, camp.config.eigvec_index, c1)),
+        _true_evd, coeffs=True,
+    ),
+    "projector": _Experiment(
+        _MSE_COLUMNS, 2, _per_trial(_projector_trial),
+        _mse_row(lambda camp, c1, c2: c1 * projector_cov_sigma_pi(camp.model)),
+        factor_model=True, coeffs=True,
+    ),
+    "intrinsic_bias": _Experiment(
+        ("n", "eta_emp_est_db", "eta_emp_gcwe_db", "eta_theory_db"), 2,
+        _per_trial(_intrinsic_bias_trial), _intrinsic_bias_row,
+    ),
+    "crlb": _Experiment(
+        ("n", "dnat2_emp_db", "crlb_ces_db", "crlb_ab_db", "crlb_biased_gauss_db"), 1,
+        _per_trial(lambda camp, cs, SM: (nat_distance(camp.Sigma, camp.sigma_scale * SM.entries) ** 2,)),
+        _crlb_row, _crlb_setup,
+    ),
+    "snr_loss": _Experiment(
+        ("n", "snr_emp_est_db", "snr_emp_gcwe_db", "snr_emp_scm_db", "snr_theory_db"), 3,
+        _per_trial(_snr_loss_trial),
+        lambda camp, n, m: (n, _db(m[0]), _db(m[1]), _db(m[2]), _db(snr_loss_theory(camp.config.r, n))),
+        _steering_setup, factor_model=True,
+    ),
+}
+EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -359,8 +394,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     start = time.perf_counter()
     camp = _Campaign(config)
-    n_points = len(config.n_grid)
-    stats = np.full((n_points, config.trials, camp.n_stats), np.nan)
+    stats = np.full((len(config.n_grid), config.trials, camp.experiment.n_stats), np.nan)
     excluded: dict[int, int] = {}
 
     for i, n in enumerate(config.n_grid):
@@ -388,21 +422,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 f"{bad}/{config.trials} trials failed at n={n} (more than 1%); aborting campaign"
             )
 
-    rows = []
-    for i, n in enumerate(config.n_grid):
-        means = np.nanmean(stats[i], axis=0) if config.trials else np.array([])
-        rows.append(camp.row(n, means))
-
+    rows = [camp.experiment.row(camp, n, np.nanmean(stats[i], axis=0)) for i, n in enumerate(config.n_grid)]
     metadata = {f.name: getattr(config, f.name) for f in fields(config)}
-    metadata["sigma_scale"] = camp.sigma_scale
-    if camp.coeffs is not None:
-        co = camp.coeffs
-        metadata.update(theta1=co.theta1, theta2=co.theta2, sigma1=co.sigma1, sigma2=co.sigma2)
-    if config.experiment == "crlb":
-        metadata.update(alpha=camp.alpha, beta=camp.beta)
+    metadata.update(camp.metadata)
     metadata["excluded"] = ",".join(f"{n}:{c}" for n, c in excluded.items()) or "none"
     metadata["wall_time_s"] = time.perf_counter() - start
-    return ExperimentResult(config=config, columns=camp.columns, rows=rows, metadata=metadata)
+    return ExperimentResult(config=config, columns=camp.experiment.columns, rows=rows, metadata=metadata)
 
 
 # ---- output ----------------------------------------------------------------
@@ -555,37 +580,19 @@ def _coerce(name: str, kind: str, value):
             return int(value)
         if kind == "float":
             return float(value)
-        if kind == "int_list":
+        if kind in ("int_list", "float_list"):
             if isinstance(value, str):
-                value = [v for v in value.replace(",", " ").split()]
-            return tuple(int(v) for v in value)
-        if kind == "float_list":
-            if isinstance(value, str):
-                value = [v for v in value.replace(",", " ").split()]
-            return tuple(float(v) for v in value)
+                value = value.replace(",", " ").split()
+            return tuple((int if kind == "int_list" else float)(v) for v in value)
         return str(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {name!r}: cannot parse {value!r} as {kind}") from exc
 
 
-_FIELD_KINDS = {
-    "experiment": "str",
-    "p": "int",
-    "d": "float",
-    "rho_mod": "float",
-    "rho_phase": "float",
-    "n_grid": "int_list",
-    "trials": "int",
-    "seed": "int",
-    "estimator": "str",
-    "r": "int",
-    "gamma2": "float",
-    "lambda_r": "float_list",
-    "eigvec_index": "int",
-    "out": "str",
-    "svg": "str",
-    "threads": "int",
-}
+_ANNOTATION_KINDS = {"int": "int", "float": "float", "str": "str", "str | None": "str",
+                     "tuple[int, ...]": "int_list", "tuple[float, ...]": "float_list"}
+# Config keys and CLI flags: the ExperimentConfig fields, in declaration order.
+_FIELD_KINDS = {f.name: _ANNOTATION_KINDS[f.type] for f in fields(ExperimentConfig)}
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:

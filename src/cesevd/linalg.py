@@ -14,8 +14,9 @@ import numpy as np
 
 from .errors import DomainError, InputError, NumericError, SizeGuardError
 
-# Explicit commutation matrices grow as p^4; anything larger than this is a bug.
-COMMUTATION_MAX_DIM = 8
+# Largest p for which an explicit p^2 x p^2 matrix (commutation matrix, full covariance)
+# is assembled; such matrices grow as p^4, so anything larger is a bug.
+P2_MATRIX_MAX_DIM = 8
 
 
 def _as_square_complex(values) -> np.ndarray:
@@ -176,8 +177,8 @@ def commutation(p: int) -> np.ndarray:
     """The p^2 x p^2 permutation K with K vec(A) = vec(A^T). Test-scale only."""
     if p < 1:
         raise InputError("dimension p must be >= 1")
-    if p > COMMUTATION_MAX_DIM:
-        raise SizeGuardError(f"commutation matrix limited to p <= {COMMUTATION_MAX_DIM}, got {p}")
+    if p > P2_MATRIX_MAX_DIM:
+        raise SizeGuardError(f"commutation matrix limited to p <= {P2_MATRIX_MAX_DIM}, got {p}")
     K = np.zeros((p * p, p * p))
     r, c = np.divmod(np.arange(p * p), p)
     # vec(A) index of A[r, c] is r + c*p; vec(A^T) index is c + r*p.

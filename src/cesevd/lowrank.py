@@ -7,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _FULL_COV_MAX_DIM, _GAP_RTOL
+from .asymptotics import _GAP_RTOL
 from .errors import DegeneracyError, DegenerateFilterError, InputError, SizeGuardError
-from .linalg import HermitianMatrix, hermitian_entries, hermitian_evd, kron
+from .linalg import P2_MATRIX_MAX_DIM, HermitianMatrix, hermitian_entries, hermitian_evd, kron
 from .sampling import RandomStream
 
 # Advisory clutter-to-noise separation below which the asymptotics get strained.
@@ -101,8 +101,8 @@ def projector_cov_sigma_pi(model: FactorModel, full: bool = False):
     trace = 2.0 * model.gamma2 * (model.p - model.r) * float(np.sum(model.gamma2 / mu**2 + 1.0 / mu))
     if not full:
         return trace
-    if model.p > _FULL_COV_MAX_DIM:
-        raise SizeGuardError(f"full assembly limited to p <= {_FULL_COV_MAX_DIM}, got {model.p}")
+    if model.p > P2_MATRIX_MAX_DIM:
+        raise SizeGuardError(f"full assembly limited to p <= {P2_MATRIX_MAX_DIM}, got {model.p}")
     A = (model.Ur * (model.gamma2 / mu**2 + 1.0 / mu)) @ model.Ur.conj().T
     B = model.gamma2 * model.projector_perp.entries
     return kron(A.T, B) + kron(B.T, A)
@@ -131,11 +131,6 @@ def steering_vector(model: FactorModel, stream: RandomStream) -> np.ndarray:
     if norm == 0:
         raise DegenerateFilterError("steering draw collapsed to zero after projection")
     return v / norm
-
-
-def lr_filter_weights(proj_perp_hat, steer) -> np.ndarray:
-    """Adaptive low-rank filter weights: the projected steering vector."""
-    return hermitian_entries(proj_perp_hat) @ np.asarray(steer, dtype=complex)
 
 
 def snr_loss(proj_perp_hat, model: FactorModel, steer) -> float:
@@ -171,7 +166,6 @@ __all__ = [
     "projector_cov_sigma_pi",
     "projector_perturbation_first_order",
     "steering_vector",
-    "lr_filter_weights",
     "snr_loss",
     "snr_loss_theory",
 ]

@@ -74,12 +74,6 @@ class CesDistribution:
     def student_t(cls, dof: float) -> "CesDistribution":
         return cls("student_t", float(dof))
 
-    def density_generator(self, p: int) -> str:
-        """Symbolic density generator, for reports and docs."""
-        if self.kind == "gaussian":
-            return "exp(-x)"
-        return f"(1 + 2*x/{self.dof:g})**(-({p} + {self.dof:g}/2))"
-
 
 @dataclass(frozen=True)
 class CoupledSample:

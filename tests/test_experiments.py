@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +19,11 @@ from cesevd import (
     write_csv,
 )
 import cesevd.experiments as exp
-from cesevd.cli import main
+from cesevd.cli import build_parser, main
 from cesevd.errors import CampaignError, ConfigError, ConvergenceError, NumericError
+
+DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parents[1]
 
 FAST = dict(p=6, d=3.0, n_grid=(50, 100), trials=10, seed=99, r=2, lambda_r=(60.0, 30.0))
 
@@ -63,6 +69,26 @@ class TestConfig:
     def test_validation_catches_lambda_length(self):
         with pytest.raises(ConfigError):
             fast_config(experiment="snr_loss", r=2, lambda_r=(9.0,)).validate()
+
+    def test_validation_catches_scm_without_theory(self):
+        # the scm estimator's E[Q] is infinite for d <= 2, and its theta1 = (d-2)/(d-4) for d <= 4
+        for experiment in exp.EXPERIMENTS:
+            d_min = 4 if experiment in ("eigenvalues", "eigenvectors", "projector") else 2
+            for d in (1.5, 2.0, float(d_min)):
+                with pytest.raises(ConfigError, match=f"d > {d_min}"):
+                    fast_config(experiment=experiment, estimator="scm", d=d).validate()
+            fast_config(experiment=experiment, estimator="scm", d=d_min + 0.5).validate()
+        fast_config(estimator="student", d=1.5).validate()
+
+    def test_config_keys_and_cli_flags_keep_their_order(self):
+        keys = ("experiment", "p", "d", "rho_mod", "rho_phase", "n_grid", "trials", "seed", "estimator",
+                "r", "gamma2", "lambda_r", "eigvec_index", "out", "svg", "threads")
+        assert tuple(exp._FIELD_KINDS) == keys
+        assert [exp._FIELD_KINDS[k] for k in ("n_grid", "lambda_r", "out", "d")] == [
+            "int_list", "float_list", "str", "float"]
+        run = next(a for a in build_parser()._actions if a.dest == "command").choices["run"]
+        flags = [a.option_strings[0] for a in run._actions if a.option_strings]
+        assert flags == ["-h", "--config"] + [f"--{k}" for k in keys]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -151,6 +177,29 @@ class TestOutputs:
         for experiment in ("eigenvalues", "eigenvectors", "projector", "crlb", "snr_loss"):
             res = run_experiment(fast_config(experiment=experiment, trials=8))
             assert np.all(np.isfinite(np.array(res.rows)))
+
+
+class TestExperimentTable:
+    @pytest.mark.parametrize("estimator", exp.ESTIMATORS)
+    @pytest.mark.parametrize("experiment", exp.EXPERIMENTS)
+    def test_payload_matches_reference(self, experiment, estimator, tmp_path):
+        # reference CSVs written before the experiment table existed: a mis-wired entry moves the payload
+        d = 6.0 if estimator == "scm" else 3.0  # the scm estimator's coefficients need d > 4
+        write_csv(run_experiment(fast_config(experiment=experiment, estimator=estimator, d=d, seed=1)), tmp_path / "r.csv")
+        columns, data, metadata = read_csv(tmp_path / "r.csv")
+        ref_columns, ref_data, ref_metadata = read_csv(DATA / f"golden_{experiment}_{estimator}.csv")
+        assert columns == ref_columns
+        assert list(metadata) == list(ref_metadata)
+        assert all(metadata[k] == ref_metadata[k] for k in exp._FIELD_KINDS)
+        np.testing.assert_allclose(data, ref_data, rtol=0, atol=1e-8)
+
+    def test_traced_names_are_module_attributes(self, monkeypatch):
+        # the benchmark's tracer swaps these names on cesevd.experiments and fails on a missing one
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up there
+        spec.loader.exec_module(tracing)
+        assert [n for n in tracing.TRACED_NAMES + tracing.SPEC_FACTORIES if not hasattr(exp, n)] == []
 
 
 class TestTheoryColumns:
@@ -334,6 +383,16 @@ class TestCli:
         code = main([
             "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "4",
             "--trials", "2", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    def test_scm_without_theory_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exp, "solve_sigma", lambda *args: pytest.fail("the scale was calibrated"))
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", "eigenvalues", "--estimator", "scm", "--d", "4", "--p", "6",
+            "--n_grid", "50", "--trials", "2", "--seed", "1", "--out", str(out),
         ])
         assert code == 2
         assert not out.exists()

@@ -7,7 +7,6 @@ from cesevd import (
     build_factor_model,
     hermitian_evd,
     kron,
-    lr_filter_weights,
     principal_projector,
     projector_cov_sigma_pi,
     projector_perturbation_first_order,
@@ -177,15 +176,6 @@ class TestSnrLoss:
         model = random_model(np.random.default_rng(12), 8, 3)
         steer = steering_vector(model, RandomStream(1, 0))
         assert snr_loss(model.projector_perp, model, steer) == pytest.approx(1.0, abs=1e-12)
-
-    def test_filter_weights(self):
-        model = random_model(np.random.default_rng(13), 6, 2)
-        steer = steering_vector(model, RandomStream(2, 0))
-        np.testing.assert_allclose(
-            lr_filter_weights(model.projector_perp, steer),
-            model.projector_perp.entries @ steer,
-            atol=1e-14,
-        )
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6))

@@ -29,10 +29,6 @@ class TestDistribution:
             dist = CesDistribution.student_t(1.5)
         assert dist.dof == 1.5
 
-    def test_density_generator_strings(self):
-        assert CesDistribution.gaussian().density_generator(4) == "exp(-x)"
-        assert "2*x/3" in CesDistribution.student_t(3).density_generator(4)
-
 
 class TestRandomStream:
     def test_streams_are_pure_functions_of_seed_and_index(self):
