@@ -14,14 +14,10 @@ import numpy as np
 
 from .errors import CoefficientError, DegeneracyError, InputError, NumericError, SizeGuardError
 from .estimators import MEstimatorSpec
-from .linalg import P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, commutation, hermitian_entries, kron, vec
+from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, commutation, hermitian_entries, kron, vec
 from .sampling import CesDistribution, RandomStream, coupled_modular_variates
 
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
-
-# Relative gap below which eigenvalues are treated as degenerate (also in lowrank).
-_GAP_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class AsymptoticCoeffs:
@@ -170,10 +166,10 @@ def eigenvalue_cov_trace(lam, k1: float, k2: float) -> float:
 
 def _gap_check(lam: np.ndarray, j: int) -> np.ndarray:
     gaps = lam[j - 1] - lam
-    bad = np.abs(gaps) < _GAP_RTOL * abs(lam[0])
+    bad = np.abs(gaps) < GAP_RTOL * abs(lam[0])
     bad[j - 1] = False
     if np.any(bad):
-        raise DegeneracyError(f"eigenvalue {j} is not simple (gap below {_GAP_RTOL:g} * lambda_1)")
+        raise DegeneracyError(f"eigenvalue {j} is not simple (gap below {GAP_RTOL:g} * lambda_1)")
     return gaps
 
 
@@ -220,7 +216,7 @@ def eigen_perturbation_first_order(evd: EvdResult, Delta) -> tuple[np.ndarray, n
         raise InputError("perturbation dimension mismatch")
     diffs = lam[None, :] - lam[:, None]  # (k, j) -> lam_j - lam_k
     off = ~np.eye(p, dtype=bool)
-    if np.any(np.abs(diffs[off]) < _GAP_RTOL * abs(lam[0])):
+    if np.any(np.abs(diffs[off]) < GAP_RTOL * abs(lam[0])):
         raise DegeneracyError("degenerate spectrum: first-order perturbation undefined")
     U = evd.eigenvectors
     G = U.conj().T @ D @ U

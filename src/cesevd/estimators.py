@@ -232,6 +232,24 @@ def _solve_gram(G: list, b: list) -> list:
     return b
 
 
+def _anderson_mix(mix: np.ndarray, f: np.ndarray, history: list) -> bool:
+    """Subtract the type-II Anderson correction from the image `mix`, in place.
+
+    `history` holds (residual, image) differences, oldest first, and `f` is
+    the last residual. False, with `mix` untouched, when the residual
+    differences are (numerically) linearly dependent. Their stacked copy is
+    freed on return, before the next sweep's large temporaries.
+    """
+    D = np.array([df for df, _ in history])
+    try:
+        gamma = _solve_gram((D @ D.T).tolist(), (D @ f).tolist())
+    except np.linalg.LinAlgError:
+        return False
+    for g, (_, dT) in zip(gamma, history):
+        mix -= g * dT
+    return True
+
+
 def _cholesky(S: np.ndarray) -> tuple[np.ndarray, list]:
     """Cholesky factors of a stack, and the positions whose matrix is not positive definite.
 
@@ -258,49 +276,6 @@ def _singular_iterate() -> DegeneracyError:
     return DegeneracyError("singular iterate: Cholesky factorization failed")
 
 
-class _Stack:
-    """Per-sample state of a stacked solve: the unfinished samples occupy rows [0, a) of every array.
-
-    The iterates S, their Cholesky factors L and the last image and residual
-    are each sweep's fresh arrays. The Anderson history is kept right-aligned
-    in preallocated buffers, the newest difference in the last slot, so a
-    row's k most recent differences are one contiguous, oldest-first slice.
-    """
-
-    def __init__(self, Z: np.ndarray, S: np.ndarray):
-        B, p, _ = Z.shape
-        m = _ANDERSON_MEMORY
-        self.a = B
-        self.ids = list(range(B))  # the caller's position of each row
-        self.out: list = [None] * B
-        self.Z = Z
-        self.S = S
-        self.L, bad = _cholesky(S)
-        self.T_prev = np.zeros((B, p, p), dtype=complex)  # the last image and residual
-        self.f_prev = np.zeros((B, 2 * p * p))
-        self.dF = np.zeros((B, m, 2 * p * p))  # differences of successive residuals (real views)
-        self.dT = np.zeros((B, m, p, p), dtype=complex)  # differences of successive images
-        self.k = [-1] * B  # differences held per row; -1 until the row has a previous residual
-        self.finish(bad, [_singular_iterate() for _ in bad])
-
-    def finish(self, rows, results, *sweep_arrays) -> None:
-        """Record each row's result and close the gap it leaves with the last unfinished row.
-
-        `sweep_arrays` hold this sweep's per-row values and are reordered alike.
-        """
-        arrays = (self.Z, self.S, self.L, self.T_prev, self.f_prev, self.dF, self.dT) + sweep_arrays
-        lists = (self.ids, self.k)
-        for j, res in sorted(zip(rows, results), reverse=True):
-            self.out[self.ids[j]] = res
-            last = self.a - 1
-            if j != last:
-                for arr in arrays:
-                    arr[j] = arr[last]
-                for lst in lists:
-                    lst[j] = lst[last]
-            self.a = last
-
-
 def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> list:
     """`fixed_point_solve` of every sample of a stack, in one loop of stacked sweeps.
 
@@ -310,13 +285,14 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     `fixed_point_solve` raises for it. Every stacked step works sample by
     sample with the arithmetic of a single sample's solve, so each entry is
     bitwise what `fixed_point_solve` returns for that sample alone, whatever
-    its stack-mates and the stack size. A sample leaves the stack once it is
-    certified.
+    its stack-mates and the stack size. A sample is dropped from the stacked
+    arrays once it is certified or has failed; each keeps its own Anderson
+    history.
     """
     opts = opts or SolverOptions()
-    if len(Z) == 1:  # a stack of one is never reordered: its sample is viewed, not copied
+    if len(Z) == 1:  # a stack of one: its sample is viewed, not copied
         Z = _as_samples(Z[0])[None]
-    else:  # the solver's own stack, whose rows it reorders as samples finish
+    else:
         Z = np.stack([_as_samples(z) for z in Z])
     B, p, n = Z.shape
     if n <= p:
@@ -326,86 +302,84 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     else:
         S = _weighted_scatter(Z, None)
         S = S * (p / np.trace(S, axis1=-2, axis2=-1).real)[:, None, None]
-    st = _Stack(Z, S)
-    m = _ANDERSON_MEMORY
+    out: list = [None] * B
+    ids = list(range(B))  # the caller's position of each live row
+    history: list = [[] for _ in range(B)]  # each row's (residual, image) differences, oldest first
+    last: list = [None] * B  # each row's last (residual, image); None before its first sweep and after a restart
+
+    def finish(rows, results, arrays):
+        """Record each finished row's result; return `arrays` with the other rows, and compact the lists alike."""
+        for j, res in zip(rows, results):
+            out[ids[j]] = res
+        keep = [j for j in range(len(ids)) if j not in rows]
+        for lst in (ids, history, last):
+            lst[:] = [lst[j] for j in keep]
+        return [arr[keep] for arr in arrays]
+
+    L, bad = _cholesky(S)
+    if bad:
+        Z, S, L = finish(bad, [_singular_iterate() for _ in bad], (Z, S, L))
     for _ in range(opts.max_iter):
-        a = st.a
-        if not a:
+        if not ids:
             break
-        Zs, S = st.Z[:a], st.S[:a]
-        t = _whitened_norms(st.L[:a], Zs)
+        t = _whitened_norms(L, Z)
         y, _ = _solve_weight_scale(spec, t, p)
         bad = [j for j, v in enumerate(y.tolist()) if v != v]  # no root
         if bad:
             err = "scale recalibration has no root; weight function unusable on this sample"
-            st.finish(bad, [DegeneracyError(err) for _ in bad], t, y)
-            a = st.a
-            Zs, S, t, y = Zs[:a], S[:a], t[:a], y[:a]
-        T = _weighted_scatter(Zs, spec.u(t * y[:, None]))
-        f = (T - S).view(np.float64).reshape(a, -1)
+            Z, S, t, y = finish(bad, [DegeneracyError(err) for _ in bad], (Z, S, t, y))
+            if not ids:
+                break
+        T = _weighted_scatter(Z, spec.u(t * y[:, None]))
+        f = (T - S).view(np.float64).reshape(len(ids), -1)
         norm_S = _frobenius(S)
         resid = _norms(f) / norm_S
         done = []
         for j in [j for j, r in enumerate(resid.tolist()) if r <= opts.tol]:
             # Certify the contract on the plain (uncorrected) map before returning.
-            plain = _frobenius((_weighted_scatter(Zs[j], spec.u(t[j])) - S[j])[None])[0] / norm_S[j]
+            plain = _frobenius((_weighted_scatter(Z[j], spec.u(t[j])) - S[j])[None])[0] / norm_S[j]
             if plain <= opts.tol:
                 done.append(j)
         if done:
-            st.finish(done, [HermitianMatrix(S[j]) for j in done], T, f, resid)
-            a = st.a
-            if not a:
+            Z, T, f, resid = finish(done, [HermitianMatrix(S[j]) for j in done], (Z, T, f, resid))
+            if not ids:
                 break
-            S, T, f = S[:a], T[:a], f[:a]
 
-        st.dF[:a, :-1] = st.dF[:a, 1:]
-        np.subtract(f, st.f_prev[:a], out=st.dF[:a, -1])
-        st.dT[:a, :-1] = st.dT[:a, 1:]
-        np.subtract(T, st.T_prev[:a], out=st.dT[:a, -1])
-        st.f_prev, st.T_prev = f, T
         # The next iterates: each row's Anderson mix, or its plain image.
         S = T.copy()
-        mixed = []
-        for j in range(a):
-            k = st.k[j] = min(st.k[j] + 1, m)
-            if k < 1:
-                continue
-            D = st.dF[j, m - k:]
-            try:
-                gamma = _solve_gram((D @ D.T).tolist(), (D @ f[j]).tolist())
-            except np.linalg.LinAlgError:
+        for j, hist in enumerate(history):
+            if last[j] is not None:
+                if len(hist) == _ANDERSON_MEMORY:
+                    del hist[0]
+                hist.append((f[j] - last[j][0], T[j] - last[j][1]))
+            last[j] = f[j], T[j]
+            if hist and not _anderson_mix(S[j], f[j], hist):
                 # A dependent history: restart from the plain image.
-                st.k[j] = -1
-                continue
-            dT = st.dT[j, m - k:]
-            mix = S[j]
-            mix -= gamma[0] * dT[0]
-            for g, d in zip(gamma[1:], dT[1:]):
-                mix -= g * d
-            mixed.append(j)
+                hist.clear()
+                last[j] = None
         L, bad = _cholesky(S)
         failed = []
         if bad:
             S = S.copy()  # a new stack: the one just factored is left as it was passed
             for j in bad:
-                if j in mixed:
+                if history[j]:  # the row was mixed
                     # A mix outside the positive-definite cone: restart from the plain image.
-                    st.k[j] = -1
+                    history[j].clear()
+                    last[j] = None
                     S[j] = T[j]
                     Lj, plain_bad = _cholesky(S[j:j + 1])
                     if not plain_bad:
                         L[j] = Lj[0]
                         continue
                 failed.append(j)
-        st.S, st.L = S, L
         if failed:
-            st.finish(failed, [_singular_iterate() for _ in failed], resid)
-    for j in range(st.a):
-        st.out[st.ids[j]] = ConvergenceError(
+            Z, S, L, resid = finish(failed, [_singular_iterate() for _ in failed], (Z, S, L, resid))
+    for j, b in enumerate(ids):
+        out[b] = ConvergenceError(
             f"no convergence within {opts.max_iter} iterations (last residual {resid[j]:.3e})",
             residual=float(resid[j]),
         )
-    return st.out
+    return out
 
 
 def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> HermitianMatrix:

@@ -133,10 +133,12 @@ def _db(x: float) -> float:
 def _block_trials(p: int, n: int) -> int:
     """Trials per block at sample size n: as many as fit in _BLOCK_BYTES, at least one.
 
-    A trial's share of a block is its solver's Anderson history and iterates,
-    about 16 p (2 m p + 6 p) bytes for memory m, plus about five p x n complex
-    arrays (its coupled sample, its row of the solver's stack and the sweep
-    temporaries).
+    A trial's share of a block is its solver's state, about 16 p (2 m p + 6 p)
+    bytes for memory m: the m residual and image differences of its Anderson
+    history, and its iterates and sweep arrays. On top come about five p x n
+    complex arrays: its coupled sample, its row of the solver's stack (copied
+    again when a stack-mate finishes and the stack is compacted) and the
+    sweep temporaries.
     """
     member = 16 * p * (2 * _ANDERSON_MEMORY * p + 6 * p + 5 * n)
     return max(1, _BLOCK_BYTES // member)
@@ -325,7 +327,10 @@ def _intrinsic_bias_trial(camp, cs, SM) -> tuple[float, float]:
 
 def _intrinsic_bias_row(camp, n, means) -> tuple:
     if means[0] <= 0 or means[1] <= 0:
-        raise CampaignError("empirical intrinsic bias came out non-positive; increase trials")
+        raise CampaignError(
+            f"empirical intrinsic bias came out non-positive at n={n}: mean {means[0]:.3g} for the estimate, "
+            f"{means[1]:.3g} for the core SCM, over {camp.config.trials} trials; increase trials"
+        )
     return (n, _db(means[0]), _db(means[1]), _db(eta(camp.config.p, n)))
 
 

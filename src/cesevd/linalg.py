@@ -17,6 +17,8 @@ from .errors import DomainError, InputError, NumericError, SizeGuardError
 # Largest p for which an explicit p^2 x p^2 matrix (commutation matrix, full covariance)
 # is assembled; such matrices grow as p^4, so anything larger is a bug.
 P2_MATRIX_MAX_DIM = 8
+# Relative eigenvalue gap (a multiple of lambda_1) below which eigenvalues count as degenerate.
+GAP_RTOL = 1e-10
 
 
 def _as_square_complex(values) -> np.ndarray:

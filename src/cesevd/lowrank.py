@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import _GAP_RTOL
 from .errors import DegeneracyError, DegenerateFilterError, InputError, SizeGuardError
-from .linalg import P2_MATRIX_MAX_DIM, HermitianMatrix, hermitian_entries, hermitian_evd, kron
+from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, HermitianMatrix, hermitian_entries, hermitian_evd, kron
 from .sampling import RandomStream
 
 # Advisory clutter-to-noise separation below which the asymptotics get strained.
@@ -84,7 +83,7 @@ def principal_projector(M, r: int) -> HermitianMatrix:
     if not 1 <= r < p:
         raise InputError(f"rank must satisfy 1 <= r < p, got r={r}, p={p}")
     lam = evd.eigenvalues
-    if lam[r - 1] - lam[r] <= _GAP_RTOL * abs(lam[0]):
+    if lam[r - 1] - lam[r] <= GAP_RTOL * abs(lam[0]):
         raise DegeneracyError(f"no spectral gap between eigenvalues {r} and {r + 1}")
     Ur = evd.eigenvectors[:, :r]
     return HermitianMatrix.from_array(Ur @ Ur.conj().T)

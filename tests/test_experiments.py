@@ -268,6 +268,12 @@ class TestFailurePolicy:
         with pytest.raises(CampaignError, match="2/150"):
             run_experiment(fast_config(n_grid=(50,), trials=150))
 
+    def test_non_positive_intrinsic_bias_names_its_grid_point(self):
+        # at 10 trials the robust estimate's mean of -tr log(whitened)/p is negative at n = 50
+        pattern = r"at n=50: mean -0\.0094 for the estimate, 0\.0482 for the core SCM, over 10 trials"
+        with pytest.raises(CampaignError, match=pattern):
+            run_experiment(fast_config(experiment="intrinsic_bias"))
+
     def test_failed_trials_are_reported(self, monkeypatch):
         fail_first_trials(monkeypatch, 1)  # 1 of 150 trials fails: within the 1% threshold
         res = run_experiment(fast_config(n_grid=(50,), trials=150))
