@@ -11,8 +11,8 @@ checkout and compares the two outputs with `diff`. Both runs need the same
 OPENBLAS_NUM_THREADS: some grid points' bits follow the BLAS thread count.
 
 The configurations are the 12 experiment x estimator cases of the golden
-payload test (`tests/test_experiments.py`) and the three perfbench workloads
-at the benchmark's default and held-out seeds.
+payload test (`tests/test_experiments.py`), one long-solve campaign and the
+three perfbench workloads at the benchmark's default and held-out seeds.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from cesevd.experiments import EXPERIMENTS, ExperimentConfig, run_experiment, wr
 
 # The golden payload test's configuration; `scm` runs at d = 6, where its coefficients exist.
 GOLDEN = dict(p=6, n_grid=(50, 100), trials=10, seed=1, r=2, lambda_r=(60.0, 30.0))
+# The one digested campaign with a trial past 200 solver sweeps (trial 19 takes 225): it pins the solver budget.
+LONG_SOLVE = dict(experiment="projector", p=20, n_grid=(21,), trials=20, seed=1)
 
 
 def _workloads():
@@ -45,6 +47,7 @@ def configurations():
         for estimator, d in (("student", 3.0), ("scm", 6.0)):
             yield f"golden/{experiment}_{estimator}", ExperimentConfig(
                 experiment=experiment, estimator=estimator, d=d, **GOLDEN)
+    yield "long_solve/projector", ExperimentConfig(**LONG_SOLVE)
     workloads = _workloads()
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
         for name in workloads.WORKLOADS:

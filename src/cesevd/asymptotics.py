@@ -18,6 +18,7 @@ from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, com
 from .sampling import CesDistribution, RandomStream, coupled_modular_variates
 
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
+COEFF_MIN_DRAWS = 100_000  # fewest draws `coeffs_numeric` accepts
 
 @dataclass(frozen=True)
 class AsymptoticCoeffs:
@@ -99,7 +100,7 @@ def coeffs_numeric(
     (the calibration identity, exact by the sigma precondition) and
     E[||g||^2] = p; this keeps all coefficients inside 1% at 1e6 draws.
     """
-    if draws < 100_000:
+    if draws < COEFF_MIN_DRAWS:
         raise InputError("coefficient estimation needs at least 1e5 draws")
     stream = stream or _COEFF_STREAM
     Q, gnorm2 = coupled_modular_variates(dist, p, draws, stream)

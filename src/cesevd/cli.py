@@ -6,10 +6,11 @@ Exit codes: 0 on success, 2 on configuration errors, 3 on campaign errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
-from .asymptotics import coeffs_closed_form_student, coeffs_numeric
+from .asymptotics import COEFF_MIN_DRAWS, coeffs_closed_form_student, coeffs_numeric
 from .errors import CampaignError, CesEvdError, ConfigError
 from .experiments import (
     _FIELD_KINDS,
@@ -68,6 +69,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.p < 1:
+        raise ConfigError(f"p must be >= 1, got {args.p}")
+    if not 0 < args.d < math.inf:
+        raise ConfigError(f"d must be finite and > 0, got {args.d:g}")
+    if args.draws < COEFF_MIN_DRAWS:
+        raise ConfigError(f"draws must be >= {COEFF_MIN_DRAWS}, got {args.draws}")
     closed = coeffs_closed_form_student(args.p, args.d)
     numeric = coeffs_numeric(student_spec(args.p, args.d), CesDistribution.student_t(args.d), args.p, args.draws)
     print(f"closed form (p={args.p}, d={args.d:g}):")

@@ -26,11 +26,11 @@ from .asymptotics import (
     eigenvalue_cov_trace,
     eigenvector_cov_xi_trace,
 )
-from .errors import CampaignError, CesEvdError, ConfigError, ConvergenceError, DegeneracyError, NumericError
+from .errors import CampaignError, CesEvdError, ConfigError, DegeneracyError, NumericError
 from .estimators import (
     _ANDERSON_MEMORY,
     SolverOptions,
-    fixed_point_solve,
+    fixed_point_solve,  # not called here: kept because perfbench's tracer swaps this name on the module
     fixed_point_solve_stack,
     gaussian_spec,
     scm,
@@ -65,6 +65,10 @@ _DEFAULT_N_GRID = (40, 62, 95, 147, 228, 352, 543, 838, 1295, 2000)
 # solve faster but raise peak memory: 640 KiB adds about 0.7 MB to an eig_small_n campaign.
 _BLOCK_BYTES = 640 << 10
 
+# The campaigns' solver budget: twice the public default, from the SCM start. A trial that needs
+# more than 200 sweeps (a few do near n = p) still gets its estimate.
+_SOLVER = SolverOptions(max_iter=400)
+
 
 @dataclass
 class ExperimentConfig:
@@ -92,10 +96,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}; choose from {ESTIMATORS}")
         if self.p < 2:
             raise ConfigError("p must be >= 2")
-        if not self.d > 0:
-            raise ConfigError("d must be > 0")
+        if not 0 < self.d < math.inf:
+            raise ConfigError(f"d must be finite and > 0, got {self.d:g}")
         if not 0 <= self.rho_mod < 1:
             raise ConfigError("rho_mod must be in [0, 1)")
+        if not math.isfinite(self.rho_phase):
+            raise ConfigError(f"rho_phase must be finite, got {self.rho_phase:g}")
         if any(n <= self.p for n in self.n_grid):
             raise ConfigError(f"n_grid entries must exceed p={self.p}: the estimators need n > p samples")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
@@ -112,6 +118,11 @@ class ExperimentConfig:
                 raise ConfigError(f"rank r must satisfy 1 <= r < p, got r={self.r}, p={self.p}")
             if len(self.lambda_r) != self.r:
                 raise ConfigError(f"lambda_r must have length r={self.r}, got {len(self.lambda_r)}")
+            lam = self.lambda_r
+            if not all(0 < x < math.inf for x in lam) or any(b >= a for a, b in zip(lam, lam[1:])):
+                raise ConfigError(f"lambda_r must be finite, positive and strictly descending, got {lam}")
+            if not 0 < self.gamma2 < math.inf:
+                raise ConfigError(f"gamma2 must be finite and > 0, got {self.gamma2:g}")
         # The scm estimator's scale p / E[Q] is finite only for d > 2, and its theta1 = (d-2)/(d-4) only for d > 4.
         d_min = 4 if experiment.coeffs else 2
         if self.estimator == "scm" and not self.d > d_min:
@@ -152,19 +163,6 @@ def _or_error(fn, *args):
         return exc
 
 
-def _robust_solve(spec, Z: list, opts: SolverOptions) -> list:
-    """Solve samples as one stack; a sample the stack cannot finish is retried alone (scm start, doubled budget).
-
-    One entry per sample: its estimate, or the NumericError of its retry.
-    """
-    out = fixed_point_solve_stack(spec, Z, opts)
-    retry = SolverOptions(tol=opts.tol, max_iter=2 * opts.max_iter, init="scm")
-    for b, res in enumerate(out):
-        if isinstance(res, (ConvergenceError, DegeneracyError)):
-            out[b] = _or_error(fixed_point_solve, spec, Z[b], retry)
-    return out
-
-
 def _descending_eigenvalues(mats: list) -> list:
     """Eigenvalues of each Hermitian matrix, descending, from one stacked eigvalsh.
 
@@ -202,7 +200,6 @@ class _Campaign:
         self.config = config
         self.experiment = _EXPERIMENT_TABLE[config.experiment]
         self.dist = CesDistribution.student_t(config.d)
-        self.opts = SolverOptions()
         p = config.p
 
         if config.estimator == "student":
@@ -233,12 +230,14 @@ class _Campaign:
     def block(self, n: int, streams: list) -> list:
         """Statistics of a block of trials, one stream each; a NumericError for an excluded trial.
 
-        The Student estimates of the block come from one stacked solve. Each
-        trial's sample, estimate and statistics are those it has on its own.
+        The Student estimates of the block come from one stacked solve with the
+        `_SOLVER` budget; a trial that solve cannot finish is excluded with its
+        ConvergenceError or DegeneracyError. Each trial's sample, estimate and
+        statistics are those it has on its own.
         """
         samples = [sample_coupled(self.dist, self.Sigma, n, stream) for stream in streams]
         if self.config.estimator == "student":
-            estimates = _robust_solve(self.spec, [cs.Z for cs in samples], self.opts)
+            estimates = fixed_point_solve_stack(self.spec, [cs.Z for cs in samples], _SOLVER)
         else:
             estimates = [_or_error(_pd_scm, cs.Z) for cs in samples]
         return self.experiment.stats(self, samples, estimates)

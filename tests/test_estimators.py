@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 import cesevd.estimators as estimators
-import cesevd.experiments as experiments
 from cesevd import (
     CesDistribution,
-    ExperimentConfig,
     HermitianMatrix,
     MEstimatorSpec,
     RandomStream,
@@ -20,7 +18,6 @@ from cesevd import (
     fixed_point_solve,
     gaussian_spec,
     modular_variate_sample,
-    run_experiment,
     sample_coupled,
     scm,
     solve_sigma,
@@ -203,26 +200,6 @@ class TestFixedPoint:
         assert not np.array_equal(factored[2], factored[3])  # the plain image replaced the mix
         assert plain_residual(spec, cs.Z, est) <= 1e-10
         assert np.linalg.norm(est - reference) / np.linalg.norm(reference) < 1e-8
-
-    def test_robust_solve_retries_after_convergence_error(self, monkeypatch):
-        real_stack, real_solve = experiments.fixed_point_solve_stack, experiments.fixed_point_solve
-        seen = []
-
-        def fail_in_block(spec, Z, opts):
-            seen.append(opts)
-            return [ConvergenceError("injected", residual=1.0)] + real_stack(spec, Z, opts)[1:]
-
-        def retry(spec, Z, opts):
-            seen.append(opts)
-            return real_solve(spec, Z, opts)
-
-        monkeypatch.setattr(experiments, "fixed_point_solve_stack", fail_in_block)
-        monkeypatch.setattr(experiments, "fixed_point_solve", retry)
-        cfg = ExperimentConfig(p=6, n_grid=(50,), trials=1, seed=99)
-        res = run_experiment(cfg)
-        assert res.metadata["excluded"] == "none"
-        assert len(seen) == 2
-        assert seen[1] == SolverOptions(max_iter=2 * SolverOptions().max_iter, init="scm")
 
     def test_insufficient_samples_degenerate(self):
         _, cs = t_sample(p=20, n=2000, seed=5)

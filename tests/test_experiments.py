@@ -8,6 +8,8 @@ import pytest
 
 from cesevd import (
     ExperimentConfig,
+    RandomStream,
+    SolverOptions,
     coeffs_closed_form_student,
     config_from_mapping,
     fixed_point_solve,
@@ -16,8 +18,10 @@ from cesevd import (
     read_csv,
     render_svg,
     run_experiment,
+    sample_coupled,
     write_csv,
 )
+import cesevd.asymptotics as asymptotics
 import cesevd.experiments as exp
 from cesevd.cli import build_parser, main
 from cesevd.errors import CampaignError, ConfigError, ConvergenceError, NumericError
@@ -33,9 +37,9 @@ def fast_config(**overrides):
 
 
 def fail_first_trials(monkeypatch, count):
-    """Make the campaign's first `count` trials fail their block solve and then their retry."""
-    real_stack, real_solve = exp.fixed_point_solve_stack, exp.fixed_point_solve
-    members, retries = [0], [0]
+    """Make the campaign's first `count` trials fail their block solve."""
+    real_stack = exp.fixed_point_solve_stack
+    members = [0]
 
     def stack(spec, Z, opts):
         out = real_stack(spec, Z, opts)
@@ -45,14 +49,7 @@ def fail_first_trials(monkeypatch, count):
                 out[b] = ConvergenceError("injected", residual=1.0)
         return out
 
-    def retry(spec, Z, opts):
-        retries[0] += 1
-        if retries[0] <= count:
-            raise ConvergenceError("injected", residual=1.0)
-        return real_solve(spec, Z, opts)
-
     monkeypatch.setattr(exp, "fixed_point_solve_stack", stack)
-    monkeypatch.setattr(exp, "fixed_point_solve", retry)
 
 
 class TestConfig:
@@ -69,6 +66,23 @@ class TestConfig:
     def test_validation_catches_lambda_length(self):
         with pytest.raises(ConfigError):
             fast_config(experiment="snr_loss", r=2, lambda_r=(9.0,)).validate()
+
+    def test_validation_catches_non_finite_scalars(self):
+        for key in ("d", "rho_phase"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=f"{key} must be finite"):
+                    fast_config(**{key: value}).validate()
+
+    def test_validation_catches_bad_factor_model(self):
+        for experiment in ("projector", "snr_loss"):
+            for gamma2 in (0.0, -1.0, math.nan, math.inf):
+                with pytest.raises(ConfigError, match="gamma2 must be finite and > 0"):
+                    fast_config(experiment=experiment, gamma2=gamma2).validate()
+            for lambda_r in ((20.0, 40.0), (30.0, 30.0), (60.0, -1.0), (60.0, 0.0), (math.inf, 30.0), (60.0, math.nan)):
+                with pytest.raises(ConfigError, match="lambda_r must be finite, positive and strictly descending"):
+                    fast_config(experiment=experiment, lambda_r=lambda_r).validate()
+        # experiments without the factor model never read gamma2 or lambda_r
+        fast_config(experiment="crlb", gamma2=0.0, lambda_r=(20.0, 40.0)).validate()
 
     def test_validation_catches_scm_without_theory(self):
         # the scm estimator's E[Q] is infinite for d <= 2, and its theta1 = (d-2)/(d-4) for d <= 4
@@ -263,7 +277,7 @@ class TestFailurePolicy:
         assert all(math.isfinite(v) for v in res.rows[0])
 
     def test_campaign_error_when_solver_cannot_run(self, monkeypatch):
-        # 2 of 150 trials fail the solve and its retry: 1.3% exceeds the 1% abort threshold
+        # 2 of 150 trials fail their solve: 1.3% exceeds the 1% abort threshold
         fail_first_trials(monkeypatch, 2)
         with pytest.raises(CampaignError, match="2/150"):
             run_experiment(fast_config(n_grid=(50,), trials=150))
@@ -279,22 +293,14 @@ class TestFailurePolicy:
         res = run_experiment(fast_config(n_grid=(50,), trials=150))
         assert res.metadata["excluded"] == "50:1"
 
-    def test_member_failing_in_block_is_retried_to_its_own_estimate(self, monkeypatch, tmp_path):
-        # the retry starts where the block did, so a trial the block dropped ends with the same bits
-        cfg = fast_config(n_grid=(50,), trials=20)
-        write_csv(run_experiment(cfg), tmp_path / "plain.csv")
-        real = exp.fixed_point_solve_stack
-
-        def drop_third(spec, Z, opts):
-            out = real(spec, Z, opts)
-            out[2] = ConvergenceError("injected", residual=1.0)
-            return out
-
-        monkeypatch.setattr(exp, "fixed_point_solve_stack", drop_third)
-        res = run_experiment(cfg)
-        write_csv(res, tmp_path / "retried.csv")
-        assert res.metadata["excluded"] == "none"
-        assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "retried.csv").read_bytes()
+    def test_campaign_budget_finishes_a_long_solve(self):
+        # trial 19 needs 225 sweeps, more than the public default of 200; the campaign's budget finishes it
+        cfg = ExperimentConfig(experiment="projector", p=20, n_grid=(21,), trials=20, seed=1)
+        assert run_experiment(cfg).metadata["excluded"] == "none"
+        camp = exp._Campaign(cfg)
+        cs = sample_coupled(camp.dist, camp.Sigma, 21, RandomStream(1, 19))
+        with pytest.raises(ConvergenceError, match="within 200 iterations"):
+            fixed_point_solve(camp.spec, cs.Z, SolverOptions())
 
 
 class TestEigenvalueStatistic:
@@ -342,6 +348,24 @@ class TestScmEstimator:
         monkeypatch.setattr(exp, "fixed_point_solve_stack", lambda *args: pytest.fail("the scm estimator iterated"))
         res = run_experiment(fast_config(experiment="crlb", estimator="scm", n_grid=(50,), trials=2))
         assert res.metadata["excluded"] == "none"
+
+
+class TestStudentEstimator:
+    def test_one_stack_solve_per_block(self, monkeypatch):
+        real_stack = exp.fixed_point_solve_stack
+        calls = []
+
+        def stack(spec, Z, opts):
+            calls.append(len(Z))
+            return real_stack(spec, Z, opts)
+
+        monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("a trial was solved alone"))
+        monkeypatch.setattr(exp, "fixed_point_solve_stack", stack)
+        cfg = fast_config(experiment="crlb", n_grid=(50, 100), trials=30)
+        res = run_experiment(cfg)
+        assert res.metadata["excluded"] == "none"
+        sizes = [exp._block_trials(cfg.p, n) for n in cfg.n_grid]
+        assert len(calls) == sum(-(-cfg.trials // size) for size in sizes) > len(cfg.n_grid)
 
 
 class TestCli:
@@ -402,6 +426,24 @@ class TestCli:
         ])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--gamma2", "0"), ("--lambda_r", "20,40"), ("--d", "inf")])
+    def test_bad_value_exit_code_before_any_set_up(self, tmp_path, monkeypatch, flag, value):
+        # rejected before the scale calibration and before any trial
+        monkeypatch.setattr(exp, "solve_sigma", lambda *args: pytest.fail("the scale was calibrated"))
+        monkeypatch.setattr(exp, "sample_coupled", lambda *args: pytest.fail("a trial ran"))
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", "projector", "--estimator", "scm", "--d", "6", "--p", "6", "--r", "2",
+            "--lambda_r", "60,30", "--n_grid", "50", "--trials", "2", "--seed", "1", "--out", str(out), flag, value,
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args", ["--p 0", "--d -1", "--d inf", "--draws 10", "--draws 0"])
+    def test_coeffs_input_error_exit_code(self, monkeypatch, args):
+        monkeypatch.setattr(asymptotics, "coupled_modular_variates", lambda *a: pytest.fail("a draw was made"))
+        assert main(["coeffs", "--p", "4", "--d", "3", *args.split()]) == 2
 
     def test_coeffs_command(self, capsys):
         assert main(["coeffs", "--p", "4", "--d", "3", "--draws", "200000"]) == 0
