@@ -15,10 +15,13 @@ import numpy as np
 from .errors import CoefficientError, DegeneracyError, InputError, NumericError, SizeGuardError
 from .estimators import MEstimatorSpec
 from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, commutation, hermitian_entries, kron, vec
-from .sampling import CesDistribution, RandomStream, coupled_modular_variates
+from .sampling import CesDistribution, RandomStream, coupled_modular_variate_chunks
 
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
 COEFF_MIN_DRAWS = 100_000  # fewest draws `coeffs_numeric` accepts
+# Draws per streamed piece of `coeffs_numeric`. A piece's draws, its five rows of integrands and their
+# temporaries peak at about 5 MiB; twice the piece went past 8 MiB.
+_COEFF_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class AsymptoticCoeffs:
@@ -99,27 +102,36 @@ def coeffs_numeric(
     control variates built from the two exactly-known means E[Psi(sigma Q)] = p
     (the calibration identity, exact by the sigma precondition) and
     E[||g||^2] = p; this keeps all coefficients inside 1% at 1e6 draws.
+    The draws are streamed in pieces of _COEFF_CHUNK: each piece's means and
+    centered co-moments are merged into the running ones (Chan, Golub and
+    LeVeque's pairwise update), so no array of all the draws is held.
     """
     if draws < COEFF_MIN_DRAWS:
         raise InputError("coefficient estimation needs at least 1e5 draws")
-    stream = stream or _COEFF_STREAM
-    Q, gnorm2 = coupled_modular_variates(dist, p, draws, stream)
-    sq = spec.sigma * Q
-    psi = spec.psi(sq)
-    H = np.stack([psi - p, gnorm2 - p])
-    hbar = H.mean(axis=1)
-    Hc = H - hbar[:, None]
-    gram = Hc @ Hc.T / draws
+    # Rows: the controls psi - p and ||g||^2 - p, then the integrands of a, b and c - p^2.
+    mean, comoment, seen = np.zeros(5), np.zeros((2, 5)), 0
+    for Q, gnorm2 in coupled_modular_variate_chunks(dist, p, draws, stream or _COEFF_STREAM, _COEFF_CHUNK):
+        sq = spec.sigma * Q
+        psi = spec.psi(sq)
+        X = np.stack([psi - p, gnorm2 - p, psi**2, psi * gnorm2, spec.psi_prime(sq) * sq])
+        k = X.shape[1]
+        m = X.mean(axis=1)
+        X -= m[:, None]
+        delta = m - mean
+        comoment += X[:2] @ X.T + np.outer(delta[:2], delta) * (seen * k / (seen + k))
+        mean += delta * (k / (seen + k))
+        seen += k
+    hbar = mean[:2]
+    gram = comoment[:, :2] / draws
 
-    def cv_mean(f: np.ndarray) -> float:
+    def cv_mean(j: int) -> float:
         # lstsq: the controls are collinear for the unit weight on Gaussian data
-        fbar = f.mean()
-        beta = np.linalg.lstsq(gram, Hc @ (f - fbar) / draws, rcond=None)[0]
-        return float(fbar - beta @ hbar)
+        beta = np.linalg.lstsq(gram, comoment[:, j] / draws, rcond=None)[0]
+        return float(mean[j] - beta @ hbar)
 
-    a = cv_mean(psi**2)
-    b = cv_mean(psi * gnorm2)
-    c = cv_mean(spec.psi_prime(sq) * sq) + p**2
+    a = cv_mean(2)
+    b = cv_mean(3)
+    c = cv_mean(4) + p**2
     if not all(np.isfinite(v) for v in (a, b, c)):
         raise NumericError("non-finite moment estimate; check the weight/distribution pairing")
     return AsymptoticCoeffs.from_moments(p, a_m=a, c_m=c, a=a, b=b, c=c)

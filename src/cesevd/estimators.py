@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import CalibrationError, ConvergenceError, DegeneracyError, InputError
 from .linalg import HermitianMatrix
-from .sampling import CesDistribution, RandomStream, modular_variate_sample
+from .sampling import CesDistribution, RandomStream, modular_variate_chunks, modular_variate_sample
 
 # Pinned stream for scale calibration; results must not depend on ambient RNG state.
 _CALIBRATION_STREAM = RandomStream(seed=0x5CA1E, index=0)
@@ -21,6 +21,12 @@ _ANDERSON_MEMORY = 3
 _SCALE_MAX_STEPS = 60
 # Entries per streamed piece of the scale root's sums: 512 KiB of float64.
 _SCALE_CHUNK = 1 << 16
+# The scale root is searched in [1/_SCALE_LIMIT, _SCALE_LIMIT]. A bounded psi whose sup lies
+# below p sends Newton steps up about as y -> y^2; the limit stops them before psi_prime's
+# square overflows, which at y = 1e30 takes a t above 1e123.
+_SCALE_LIMIT = 1e30
+# Pinned draws of a scale calibration.
+_CALIBRATION_DRAWS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -119,6 +125,22 @@ def scm(Z) -> HermitianMatrix:
     return HermitianMatrix(_weighted_scatter(Z, None))
 
 
+def _add_scale_sums(spec: MEstimatorSpec, rows: np.ndarray, ys, val: list, slope: list) -> tuple[list, list]:
+    """val + sum(psi(x)) and slope + sum(psi'(x) * rows) of each row, x = rows * ys, in one pass.
+
+    The columns go in chunks of _SCALE_CHUNK, each summed in one piece and
+    added to the row's running Python float, so no temporary is as large as a
+    long row. No sum goes through BLAS, whose threaded dot product would make
+    the sums depend on the BLAS thread count.
+    """
+    for i in range(0, rows.shape[-1], _SCALE_CHUNK):
+        c = rows[:, i:i + _SCALE_CHUNK]
+        cy = c * ys
+        val = [v + s for v, s in zip(val, spec.psi(cy).sum(axis=-1).tolist())]
+        slope = [v + s for v, s in zip(slope, np.einsum("ij,ij->i", spec.psi_prime(cy), c).tolist())]
+    return val, slope
+
+
 def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Root y of mean(psi(t*y)) = p for each row of `t`, and mean(psi(t*y)) - p at its last evaluation.
 
@@ -130,14 +152,12 @@ def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[np
     mean(psi(t*y)) is non-decreasing in y and its root is y = 1 at any fixed
     point (trace identity), so Newton steps start there. Every evaluation
     narrows a bracket on the root, and a step that leaves the bracket is
-    replaced by bisection (or by doubling while no upper end is known). Each
-    step evaluates the rows still unsolved together, in one pass over their
-    columns in chunks of _SCALE_CHUNK, so no temporary is as large as a long
-    `t`; a row within one chunk is summed in one piece, with the arithmetic of
-    an unchunked evaluation, and its bracket logic runs on Python floats. A
-    row's result therefore does not depend on the other rows. No sum goes
-    through BLAS, whose threaded dot product would make the root depend on
-    the BLAS thread count.
+    replaced by bisection (or by doubling while no upper end is known). A
+    step that would leave [1/_SCALE_LIMIT, _SCALE_LIMIT] ends the row's search
+    with y = nan, as when a bounded psi stays below p. Each step evaluates the
+    rows still unsolved together, in one pass of `_add_scale_sums`; a row's
+    bracket logic runs on Python floats, so its result does not depend on the
+    other rows.
     """
     rows = t.reshape(-1, t.shape[-1])
     m, n = rows.shape
@@ -148,12 +168,7 @@ def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[np
     for _ in range(_SCALE_MAX_STEPS):
         # a single row is scaled by a Python float: the same products, without a column temporary
         ys = y[active[0]] if len(active) == 1 else np.array([y[b] for b in active])[:, None]
-        val, slope = [-float(target)] * len(active), [0.0] * len(active)
-        for i in range(0, n, _SCALE_CHUNK):  # one pass per step: both sums, chunk by chunk
-            c = sub[:, i:i + _SCALE_CHUNK]
-            cy = c * ys
-            val = [v + s for v, s in zip(val, spec.psi(cy).sum(axis=-1).tolist())]
-            slope = [v + s for v, s in zip(slope, np.einsum("ij,ij->i", spec.psi_prime(cy), c).tolist())]
+        val, slope = _add_scale_sums(spec, sub, ys, [-float(target)] * len(active), [0.0] * len(active))
         unsolved = []
         for b, v, s in zip(active, val, slope):
             yb = y[b]
@@ -171,6 +186,8 @@ def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[np
                 # Newton converges quadratically: the error left is ~1e-16 y
                 y_out[b], r_out[b] = step, v / n
                 continue
+            if not 1 / _SCALE_LIMIT <= step <= _SCALE_LIMIT:
+                continue  # no root in range: y = nan
             y[b] = step
             unsolved.append(b)
         if not unsolved:
@@ -408,7 +425,7 @@ def solve_sigma(
     spec: MEstimatorSpec,
     dist: CesDistribution,
     p: int,
-    draws: int = 4_000_000,
+    draws: int = _CALIBRATION_DRAWS,
     stream: RandomStream | None = None,
 ) -> float:
     """Scale sigma with mean(Psi(sigma * Q)) = p under the modular law of `dist`.
@@ -424,6 +441,8 @@ def solve_sigma(
     For bounded Psi the result is accurate to ~1e-4 relative; for unbounded
     Psi on heavy-tailed laws (unit weight with dof <= 4) accuracy is limited
     by the slow convergence of the sample mean (~1% at the default draws).
+    `unit_weight_sigma` gives the unit weight's sigma, with the same bits,
+    from one streamed pass that never holds Q.
     """
     Q = modular_variate_sample(dist, p, draws, stream or _CALIBRATION_STREAM)
     sigma, resid = _solve_weight_scale(spec, Q, p)
@@ -436,6 +455,39 @@ def solve_sigma(
     return float(sigma)
 
 
+def unit_weight_sigma(
+    dist: CesDistribution,
+    p: int,
+    draws: int = _CALIBRATION_DRAWS,
+    stream: RandomStream | None = None,
+) -> float:
+    """`solve_sigma(gaussian_spec(), dist, p, draws, stream)` from one streamed pass over the draws.
+
+    For Psi(t) = t the scale equation is linear in sigma, so the safeguarded
+    Newton step from sigma = 1 lands on its root: solve_sigma's second pass
+    finds it within its 1e-13 relative tolerance and returns it unchanged.
+    That first step needs only the two sums of the first pass, which are
+    taken here piece by piece as the draws are made, with solve_sigma's
+    arithmetic, so sigma has its bits while at most one piece of draws
+    (`sampling._DRAW_CHUNK`, a multiple of _SCALE_CHUNK) is held.
+    CalibrationError when the root lies outside [1e-3, 1e3] or the sums are
+    not finite.
+    """
+    spec = gaussian_spec()
+    target = draws * p
+    val, slope = [-float(target)], [0.0]
+    for Q in modular_variate_chunks(dist, p, draws, stream or _CALIBRATION_STREAM):
+        val, slope = _add_scale_sums(spec, Q[None], 1.0, val, slope)
+        del Q  # dropped before the next piece is drawn
+    (v,), (s,) = val, slope
+    if not (np.isfinite(v) and 0 < s < np.inf):
+        raise CalibrationError("the scale equation's sums are not finite")
+    sigma = 1.0 if abs(v) <= 1e-13 * target else 1.0 - v / s
+    if not 1e-3 <= sigma <= 1e3:
+        raise CalibrationError(f"the scale root {sigma:.3g} lies outside [1e-3, 1e3]")
+    return sigma
+
+
 __all__ = [
     "MEstimatorSpec",
     "SolverOptions",
@@ -445,4 +497,5 @@ __all__ = [
     "fixed_point_solve",
     "fixed_point_solve_stack",
     "solve_sigma",
+    "unit_weight_sigma",
 ]

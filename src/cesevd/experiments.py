@@ -34,8 +34,9 @@ from .estimators import (
     fixed_point_solve_stack,
     gaussian_spec,
     scm,
-    solve_sigma,
+    solve_sigma,  # not called here: kept because perfbench's tracer swaps this name on the module
     student_spec,
+    unit_weight_sigma,
 )
 from .linalg import hermitian_evd, phase_align, toeplitz_scatter
 from .lowrank import (
@@ -205,8 +206,7 @@ class _Campaign:
         if config.estimator == "student":
             self.spec = student_spec(p, config.d)
         else:
-            sigma = solve_sigma(gaussian_spec(), self.dist, p)
-            self.spec = gaussian_spec().with_sigma(sigma)
+            self.spec = gaussian_spec().with_sigma(unit_weight_sigma(self.dist, p))
         self.sigma_scale = self.spec.sigma
         self.metadata = {"sigma_scale": self.sigma_scale}
         if self.experiment.coeffs:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,36 @@ class TestNumericCoeffs:
         co = coeffs_numeric(student_spec(20, 3.0), CesDistribution.student_t(3.0), 20)
         assert co.b == pytest.approx(co.a, rel=0.01)
         assert abs(co.b - 400.0) > 0.5
+
+    @pytest.mark.parametrize("case", ["unit_d6", "student_d3"])
+    def test_streamed_moments_match_recorded_one_shot_values(self, case):
+        # values of the one-shot (unstreamed) estimator on the default stream at 1e6 draws
+        if case == "unit_d6":
+            co = coeffs_numeric(gaussian_spec().with_sigma(2 / 3), CesDistribution.student_t(6.0), 6)
+            recorded = dict(a=82.37456717395699, b=41.948995287949046, c=42.0, theta1=1.9612992184275473,
+                            theta2=0.9612992184275475, sigma1=0.9637280142394975, sigma2=0.9637280142394977)
+        else:
+            co = coeffs_numeric(student_spec(20, 3.0), CesDistribution.student_t(3.0), 20)
+            recorded = dict(a=401.33260545460416, b=401.3353331681448, c=401.3333671881579,
+                            theta1=1.046509553341317, theta2=0.6972270261117295,
+                            sigma1=0.046499756099683806, sigma2=0.6970800712185815)
+        for name, value in recorded.items():
+            assert getattr(co, name) == pytest.approx(value, rel=1e-12, abs=0), name
+
+    @pytest.mark.parametrize("weight", ["unit", "student"])
+    def test_peak_memory(self, weight):
+        # the one-shot estimator held about 69 MiB of arrays at 1e6 draws
+        if weight == "unit":
+            spec, dist = gaussian_spec().with_sigma(2 / 3), CesDistribution.student_t(6.0)
+        else:
+            spec, dist = student_spec(20, 3.0), CesDistribution.student_t(3.0)
+        tracemalloc.start()
+        try:
+            coeffs_numeric(spec, dist, 20, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_draw_floor(self):
         with pytest.raises(InputError):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import cesevd.estimators as estimators
+import cesevd.sampling as sampling
 from cesevd import (
     CesDistribution,
     HermitianMatrix,
@@ -25,7 +26,7 @@ from cesevd import (
     toeplitz_scatter,
 )
 from cesevd.errors import CalibrationError, ConvergenceError, DegeneracyError, InputError
-from cesevd.estimators import fixed_point_solve_stack
+from cesevd.estimators import fixed_point_solve_stack, unit_weight_sigma
 
 GRID = np.linspace(0.0, 50.0, 2001)
 
@@ -299,6 +300,7 @@ class TestSolveStack:
         assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z, opts).entries)
                    for S, Z in zip(stacked, samples))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failures_stay_with_their_member(self):
         # stalled members and degenerate ones do not disturb their stack-mates
         spec, opts = student_spec(20, 3.0), SolverOptions(max_iter=5)
@@ -315,6 +317,7 @@ class TestSolveStack:
         short = fixed_point_solve_stack(spec, samples[:2], opts)
         assert all(isinstance(res, ConvergenceError) and res.residual > opts.tol for res in short)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stack_without_any_scale_root_is_degenerate(self):
         # every live member leaves in the same sweep, a stack of one included
         spec = student_spec(20, 3.0)
@@ -324,6 +327,23 @@ class TestSolveStack:
         assert all(isinstance(res, DegeneracyError) for res in fixed_point_solve_stack(spec, samples))
         with pytest.raises(DegeneracyError, match="scale recalibration has no root"):
             fixed_point_solve(spec, samples[0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_no_root_search_ends_early(self):
+        # the Student psi is bounded by p + d/2, so with 5 of 40 columns zero mean(psi) stays below p:
+        # the scale root's steps leave its range after a few passes, before psi_prime can overflow
+        spec = student_spec(20, 3.0)
+        calls = [0]
+
+        def psi(x):
+            calls[0] += 1
+            return spec.psi(x)
+
+        Z = t_samples(40, 1)[0].copy()
+        Z[:, :5] = 0
+        (res,) = fixed_point_solve_stack(dataclasses.replace(spec, psi=psi), [Z])
+        assert isinstance(res, DegeneracyError) and str(res).startswith("scale recalibration has no root")
+        assert calls[0] <= 12
 
     def test_one_rejected_mix_falls_back_for_that_member_only(self, monkeypatch):
         spec = student_spec(20, 3.0)
@@ -441,6 +461,16 @@ class TestSolveSigma:
         finally:
             tracemalloc.stop()
         assert peak <= 36 * 2**20
+
+    @pytest.mark.parametrize("d", [2.5, 3.0, 6.0, 30.0, None])
+    @pytest.mark.parametrize("p", [2, 6, 20])
+    def test_unit_weight_sigma_is_solve_sigma_bitwise(self, p, d):
+        # pinned and own streams; 1_234_567 draws end in a partial piece, 100_000 fit in one
+        assert sampling._DRAW_CHUNK % estimators._SCALE_CHUNK == 0  # the pieces keep the sums' chunks
+        dist = CesDistribution.gaussian() if d is None else CesDistribution.student_t(d)
+        for draws, stream in ((4_000_000, None), (1_234_567, RandomStream(3, 1)), (100_000, RandomStream(4, 2))):
+            streamed = unit_weight_sigma(dist, p, draws, stream)
+            assert streamed == solve_sigma(gaussian_spec(), dist, p, draws, stream)
 
     def test_scm_weight_on_heavy_tails(self):
         # for u = 1 on t data, sigma = (d-2)/d; Q has infinite variance at d=3,

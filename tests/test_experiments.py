@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,17 @@ class TestScmEstimator:
         write_csv(run_experiment(ExperimentConfig(**cfg)), tmp_path / "solved.csv")
         assert (tmp_path / "direct.csv").read_bytes() == (tmp_path / "solved.csv").read_bytes()
 
+    def test_setup_peak_memory(self):
+        # the scale's 4M pinned draws are streamed: the one-shot sample alone took 30.5 MiB
+        config = ExperimentConfig(experiment="crlb", estimator="scm", n_grid=(40,), trials=1, seed=5)
+        tracemalloc.start()
+        try:
+            exp._Campaign(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+
     def test_no_fixed_point_solve(self, monkeypatch):
         monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("the scm estimator iterated"))
         monkeypatch.setattr(exp, "fixed_point_solve_stack", lambda *args: pytest.fail("the scm estimator iterated"))
@@ -418,7 +430,7 @@ class TestCli:
         assert not out.exists()
 
     def test_scm_without_theory_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(exp, "solve_sigma", lambda *args: pytest.fail("the scale was calibrated"))
+        monkeypatch.setattr(exp, "unit_weight_sigma", lambda *args: pytest.fail("the scale was calibrated"))
         out = tmp_path / "r.csv"
         code = main([
             "run", "--experiment", "eigenvalues", "--estimator", "scm", "--d", "4", "--p", "6",
@@ -430,7 +442,7 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [("--gamma2", "0"), ("--lambda_r", "20,40"), ("--d", "inf")])
     def test_bad_value_exit_code_before_any_set_up(self, tmp_path, monkeypatch, flag, value):
         # rejected before the scale calibration and before any trial
-        monkeypatch.setattr(exp, "solve_sigma", lambda *args: pytest.fail("the scale was calibrated"))
+        monkeypatch.setattr(exp, "unit_weight_sigma", lambda *args: pytest.fail("the scale was calibrated"))
         monkeypatch.setattr(exp, "sample_coupled", lambda *args: pytest.fail("a trial ran"))
         out = tmp_path / "r.csv"
         code = main([
@@ -442,7 +454,7 @@ class TestCli:
 
     @pytest.mark.parametrize("args", ["--p 0", "--d -1", "--d inf", "--draws 10", "--draws 0"])
     def test_coeffs_input_error_exit_code(self, monkeypatch, args):
-        monkeypatch.setattr(asymptotics, "coupled_modular_variates", lambda *a: pytest.fail("a draw was made"))
+        monkeypatch.setattr(asymptotics, "coupled_modular_variate_chunks", lambda *a: pytest.fail("a draw was made"))
         assert main(["coeffs", "--p", "4", "--d", "3", *args.split()]) == 2
 
     def test_coeffs_command(self, capsys):

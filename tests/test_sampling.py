@@ -13,6 +13,7 @@ from cesevd import (
     toeplitz_scatter,
 )
 from cesevd.errors import InputError
+from cesevd.sampling import coupled_modular_variate_chunks, modular_variate_chunks
 
 
 class TestDistribution:
@@ -153,6 +154,28 @@ class TestModularVariate:
         cs = sample_coupled(CesDistribution.student_t(d), np.eye(p), 50_000, RandomStream(10, 0))
         ks = sps.ks_2samp(Q, cs.Q)
         assert ks.statistic < 1.628 * np.sqrt(2 / 50_000)
+
+    @pytest.mark.parametrize("dist", [CesDistribution.gaussian(), CesDistribution.student_t(3.0)],
+                             ids=["gaussian", "student"])
+    def test_chunks_are_the_one_shot_draws_bitwise(self, dist):
+        # reference: the draws made in one call each, gammas before chi-squares; 2500 draws in pieces of
+        # 1000 end in a partial piece
+        p, count = 6, 2500
+        rng = RandomStream(13, 0).generator()
+        Q = rng.gamma(p, 1.0, count) if dist.kind == "gaussian" else p * rng.f(2 * p, dist.dof, count)
+        rng = RandomStream(14, 0).generator()
+        g2 = rng.gamma(p, 1.0, count)
+        Qc = g2 if dist.kind == "gaussian" else dist.dof * g2 / rng.chisquare(dist.dof, count)
+        assert np.array_equal(modular_variate_sample(dist, p, count, RandomStream(13, 0)), Q)
+        Q1, g1 = coupled_modular_variates(dist, p, count, RandomStream(14, 0))
+        assert np.array_equal(Q1, Qc) and np.array_equal(g1, g2)
+        chunks = list(modular_variate_chunks(dist, p, count, RandomStream(13, 0), chunk=1000))
+        assert [len(c) for c in chunks] == [1000, 1000, 500]
+        assert np.array_equal(np.concatenate(chunks), Q)
+        pairs = list(coupled_modular_variate_chunks(dist, p, count, RandomStream(14, 0), chunk=1000))
+        assert [len(q) for q, _ in pairs] == [1000, 1000, 500]
+        assert np.array_equal(np.concatenate([q for q, _ in pairs]), Qc)
+        assert np.array_equal(np.concatenate([g for _, g in pairs]), g2)
 
     def test_input_validation(self):
         with pytest.raises(InputError):
