@@ -30,7 +30,8 @@ from cesevd.experiments import EXPERIMENTS, ExperimentConfig, run_experiment, wr
 
 # The golden payload test's configuration; `scm` runs at d = 6, where its coefficients exist.
 GOLDEN = dict(p=6, n_grid=(50, 100), trials=10, seed=1, r=2, lambda_r=(60.0, 30.0))
-# The one digested campaign with a trial past 200 solver sweeps (trial 19 takes 225): it pins the solver budget.
+# A campaign near n = p, on the Newton side of the solver's crossover. Its trial 19 needs 225 Anderson sweeps,
+# past the public default of 200 (`tests/test_experiments.py` checks the campaign budget on it).
 LONG_SOLVE = dict(experiment="projector", p=20, n_grid=(21,), trials=20, seed=1)
 
 

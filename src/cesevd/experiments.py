@@ -29,6 +29,7 @@ from .asymptotics import (
 from .errors import CampaignError, CesEvdError, ConfigError, DegeneracyError, NumericError
 from .estimators import (
     _ANDERSON_MEMORY,
+    _uses_newton,
     SolverOptions,
     fixed_point_solve,  # not called here: kept because perfbench's tracer swaps this name on the module
     fixed_point_solve_stack,
@@ -145,14 +146,18 @@ def _db(x: float) -> float:
 def _block_trials(p: int, n: int) -> int:
     """Trials per block at sample size n: as many as fit in _BLOCK_BYTES, at least one.
 
-    A trial's share of a block is its solver's state, about 16 p (2 m p + 6 p)
-    bytes for memory m: the m residual and image differences of its Anderson
-    history, and its iterates and sweep arrays. On top come about five p x n
+    A trial's share of a block is its solver's state plus about five p x n
     complex arrays: its coupled sample, its row of the solver's stack (copied
     again when a stack-mate finishes and the stack is compacted) and the
-    sweep temporaries.
+    sweep temporaries. The solver's state is about 16 p (2 m p + 6 p) bytes
+    in the Anderson sweeps, for memory m: the m residual and image
+    differences of its history, and its iterates and sweep arrays. Newton's
+    method on the weights keeps no history but holds two n x n arrays, the
+    complex Gram matrix of the whitened sample and the real Jacobian: 24 n^2
+    bytes on top of the iterates.
     """
-    member = 16 * p * (2 * _ANDERSON_MEMORY * p + 6 * p + 5 * n)
+    state = 24 * n * n if _uses_newton(p, n) else 16 * p * 2 * _ANDERSON_MEMORY * p
+    member = state + 16 * p * (6 * p + 5 * n)
     return max(1, _BLOCK_BYTES // member)
 
 
@@ -225,6 +230,7 @@ class _Campaign:
             self.Sigma = self.model.sigma
         else:
             self.Sigma = toeplitz_scatter(p, config.rho_mod * np.exp(1j * config.rho_phase))
+        self.Sigma.sqrt  # the sampler's root, cached on the scatter here rather than in the first block
         self.experiment.setup(self)
 
     def block(self, n: int, streams: list) -> list:

@@ -75,6 +75,17 @@ class HermitianMatrix:
         V.setflags(write=False)
         return lam, V
 
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """The Hermitian square root V diag(sqrt(lam)) V^H, read-only, formed on first use and kept.
+
+        The matrix must be positive semi-definite; callers check that themselves.
+        """
+        lam, V = self._eigh
+        A = (V * np.sqrt(lam)) @ V.conj().T
+        A.setflags(write=False)
+        return A
+
 
 def hermitian_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """`np.linalg.eigh` of a Hermitian matrix: ascending eigenvalues, eigenvectors as columns.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import hermitian_eigh
+from .linalg import HermitianMatrix, hermitian_eigh
 
 _MASK64 = (1 << 64) - 1
 
@@ -116,17 +116,19 @@ def sample_coupled(dist: CesDistribution, Sigma, n: int, stream: RandomStream) -
 
     For the Student t the coupling is z = x * sqrt(dof/u) with u ~ chi2(dof)
     independent of g, which realizes Q = dof * ||g||^2 / u jointly with
-    ||g||^2. A is the Hermitian square root of Sigma, formed from the
-    eigendecomposition that a `HermitianMatrix` caches, so a campaign
-    factorizes its true scatter once rather than once per trial; ||g||^2 is
-    summed on the real view of g.
+    ||g||^2. A is the Hermitian square root of Sigma, which a
+    `HermitianMatrix` caches with its eigendecomposition, so a campaign
+    factorizes its true scatter and forms its root once rather than once per
+    trial; ||g||^2 is summed on the real view of g.
     """
     if n < 1:
         raise InputError("sample size n must be >= 1")
-    lam, V = hermitian_eigh(Sigma)
+    if not isinstance(Sigma, HermitianMatrix):
+        Sigma = HermitianMatrix.from_array(Sigma)
+    lam, _ = hermitian_eigh(Sigma)
     if lam[0] <= 0:
         raise InputError("Sigma must be positive definite")
-    A = (V * np.sqrt(lam)) @ V.conj().T
+    A = Sigma.sqrt
     p = lam.shape[0]
 
     rng = stream.generator()

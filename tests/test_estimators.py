@@ -157,7 +157,7 @@ class TestFixedPoint:
     @pytest.mark.xfail(
         strict=True,
         reason="known gap (ROADMAP item 6): the solver certifies with its own kernels; near n = p on a "
-        "cond-1e6 scatter an independent recomputation reads 1.6e-10 to 1.9e-10",
+        "cond-1e6 scatter an independent recomputation reads 1.1e-10 to 3.9e-10",
     )
     def test_residual_contract_near_n_equals_p(self):
         sigma = factor_sigma((1e6, 3e5, 1e5, 3e4, 1e4))
@@ -179,10 +179,11 @@ class TestFixedPoint:
         _, cs = t_sample(p=6, n=300, seed=2)
         spec, calls = counting_u(gaussian_spec())
         assert np.array_equal(fixed_point_solve(spec, cs.Z).entries, scm(cs.Z).entries)
-        assert calls[0] == 3  # two sweeps and the certification
+        assert calls[0] == 2  # two sweeps; the second's scale root is 1, so its image certifies itself
 
     def test_rejected_anderson_mix_falls_back_to_plain_image(self, monkeypatch):
-        _, cs = t_sample(p=20, n=40, seed=12)
+        _, cs = t_sample(p=20, n=95, seed=12)  # above Newton's crossover: the Anderson sweeps solve it
+        assert not estimators._uses_newton(20, 95)
         spec = student_spec(20, 3.0)
         reference = fixed_point_solve(spec, cs.Z).entries
         cholesky = np.linalg.cholesky
@@ -347,7 +348,8 @@ class TestSolveStack:
 
     def test_one_rejected_mix_falls_back_for_that_member_only(self, monkeypatch):
         spec = student_spec(20, 3.0)
-        samples = t_samples(40, 5, seed=12)
+        samples = t_samples(95, 5, seed=12)  # above Newton's crossover: the Anderson sweeps solve them
+        assert not estimators._uses_newton(20, 95)
         plain = [fixed_point_solve(spec, Z).entries for Z in samples]
         cholesky = np.linalg.cholesky
         factored = []
@@ -374,6 +376,21 @@ class TestSolveStack:
         assert np.array_equal(stacked[3].entries, fallback)
         assert all(np.array_equal(stacked[b].entries, plain[b]) for b in (0, 1, 2, 4))
 
+    def test_scale_one_residual_is_the_plain_residual_bitwise(self):
+        # a sweep whose scale root is exactly 1 certifies from the residual it has, without a further scatter
+        spec = student_spec(20, 3.0)
+        Z = np.stack(t_samples(2000, 3))
+        S = np.stack([fixed_point_solve(spec, z).entries for z in Z])
+        t = estimators._whiten(np.linalg.cholesky(S), Z)[1]
+        y, _ = estimators._solve_weight_scale(spec, t, 20)
+        assert np.all(y == 1.0)
+        norm_S = estimators._frobenius(S)
+        T = estimators._weighted_scatter(Z, spec.u(t * y[:, None]))
+        resid = estimators._norms((T - S).view(np.float64).reshape(len(S), -1)) / norm_S
+        for j in range(len(S)):
+            plain = estimators._weighted_scatter(Z[j], spec.u(t[j])) - S[j]
+            assert resid[j] == estimators._frobenius(plain[None])[0] / norm_S[j]
+
     def test_scale_root_rows_equal_single_rows_bitwise(self):
         spec = student_spec(20, 3.0)
         rng = np.random.default_rng(3)
@@ -385,6 +402,79 @@ class TestSolveStack:
             for b in (0, 1, 2, 3, 5):
                 yb, rb = estimators._solve_weight_scale(spec, t[b], 20)
                 assert y[b] == yb and resid[b] == rb
+
+
+def solver_residual(spec, Z, S):
+    """Relative plain fixed-point residual of S, computed with the solver's own kernels."""
+    t = estimators._whiten(np.linalg.cholesky(S), Z)[1]
+    T = estimators._weighted_scatter(Z, spec.u(t))
+    return np.linalg.norm(T - S) / np.linalg.norm(S)
+
+
+def newton_failure_sample():
+    """A sample on which Newton's method drives every weight towards 0 and certifies nothing.
+
+    Trial 124 at n = 40 of the eig_small_n benchmark campaign at its held-out seed.
+    """
+    Sig = toeplitz_scatter(20, 0.9 * np.exp(1j * np.pi / 4))
+    return sample_coupled(CesDistribution.student_t(3.0), Sig, 40, RandomStream(1451705745, 124)).Z
+
+
+class TestNewton:
+    def test_whitenings_per_solve(self):
+        # the Anderson sweeps took 21 weight evaluations on this sample
+        _, cs = t_sample(p=20, n=40, seed=3)
+        assert estimators._uses_newton(20, 40)
+        spec, calls = counting_u(student_spec(20, 3.0))
+        est = fixed_point_solve(spec, cs.Z)
+        assert calls[0] <= 12
+        assert plain_residual(spec, cs.Z, est.entries) <= 1e-10
+
+    def test_unit_weight_is_scm_bitwise(self):
+        _, cs = t_sample(p=20, n=62, seed=2)
+        spec, calls = counting_u(gaussian_spec())
+        assert np.array_equal(fixed_point_solve(spec, cs.Z).entries, scm(cs.Z).entries)
+        assert calls[0] == 2  # the first sweep, then the iterate it gives certifies itself
+
+    def test_same_solution_as_the_anderson_sweeps(self):
+        spec = student_spec(20, 3.0)
+        for Z in t_samples(62, 3):
+            (anderson,) = estimators._anderson_stack(spec, Z[None], SolverOptions())
+            newton = fixed_point_solve(spec, Z).entries
+            assert np.linalg.norm(newton - anderson.entries) / np.linalg.norm(anderson.entries) < 1e-8
+
+    def test_uncertified_member_gets_the_anderson_solve_bitwise(self):
+        spec = student_spec(20, 3.0)
+        bad = newton_failure_sample()
+        assert estimators._newton_stack(spec, bad[None], SolverOptions()) == [None]
+        samples = t_samples(40, 2)
+        samples.insert(1, bad)
+        stacked = fixed_point_solve_stack(spec, samples)
+        (anderson,) = estimators._anderson_stack(spec, bad[None], SolverOptions())
+        assert np.array_equal(stacked[1].entries, anderson.entries)
+        assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z).entries) for S, Z in zip(stacked, samples))
+
+    def test_singular_newton_systems_give_the_anderson_solve_bitwise(self, monkeypatch):
+        spec = student_spec(20, 3.0)
+        samples = t_samples(62, 3)
+        reference = [estimators._anderson_stack(spec, Z[None], SolverOptions())[0].entries for Z in samples]
+
+        def singular(*args):
+            raise np.linalg.LinAlgError("injected: singular Newton system")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        for size in (1, 3):
+            stacked = solve_in_blocks(spec, samples, size)
+            assert all(np.array_equal(S.entries, ref) for S, ref in zip(stacked, reference))
+
+    @pytest.mark.parametrize("seed", [7, 10])
+    def test_certifies_near_n_equals_p(self, seed):
+        # the Anderson sweeps stalled on these samples, with residuals 3.5e-10 and 4.5e-10 after 200 sweeps
+        sigma = factor_sigma((1e6, 3e5, 1e5, 3e4, 1e4))
+        Z = sample_coupled(CesDistribution.student_t(3.0), sigma, 21, RandomStream(seed, 0)).Z
+        spec = student_spec(20, 3.0)
+        est = fixed_point_solve(spec, Z).entries
+        assert solver_residual(spec, Z, est) <= 1e-10
 
 
 class TestSolveSigma:

@@ -64,6 +64,15 @@ class TestHermitianEigh:
         with pytest.raises(ValueError):
             V[0, 0] = 5
 
+    def test_cached_square_root(self):
+        H = toeplitz_scatter(20, 0.9 * np.exp(1j * np.pi / 4))
+        A = H.sqrt
+        lam, V = np.linalg.eigh(np.array(H.entries))
+        assert A.tobytes() == ((V * np.sqrt(lam)) @ V.conj().T).tobytes()
+        assert H.sqrt is A
+        with pytest.raises(ValueError):
+            A[0, 0] = 5
+
     def test_raw_array_validated(self):
         lam, _ = hermitian_eigh(np.diag([2.0, 1.0]))
         assert np.array_equal(lam, [1.0, 2.0])

@@ -107,6 +107,13 @@ class TestSampleCoupled:
         for x, y in ((a.Z, b.Z), (a.X, b.X), (a.Q, b.Q), (a.Gnorm2, b.Gnorm2)):
             assert np.array_equal(x, y)
 
+    def test_raw_scatter_draws_the_same_bits(self):
+        dist = CesDistribution.student_t(3.0)
+        Sig = toeplitz_scatter(6, 0.5 * np.exp(0.3j))
+        a = sample_coupled(dist, Sig, 64, RandomStream(11, 9))
+        b = sample_coupled(dist, np.array(Sig.entries), 64, RandomStream(11, 9))
+        assert np.array_equal(a.Z, b.Z) and np.array_equal(a.X, b.X)
+
     def test_normalized_scatter_error_decays(self):
         # (d-2)/d * scm(Z) estimates Sigma; heavy tails, so only check decay on a pinned seed
         dist = CesDistribution.student_t(3.0)
