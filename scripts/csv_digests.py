@@ -18,28 +18,22 @@ three perfbench workloads at the benchmark's default and held-out seeds.
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from cesevd.experiments import EXPERIMENTS, ExperimentConfig, run_experiment, write_csv  # noqa: E402
+import workloads  # noqa: E402
 
 # The golden payload test's configuration; `scm` runs at d = 6, where its coefficients exist.
 GOLDEN = dict(p=6, n_grid=(50, 100), trials=10, seed=1, r=2, lambda_r=(60.0, 30.0))
 # A campaign near n = p, on the Newton side of the solver's crossover. Its trial 19 needs 225 Anderson sweeps,
 # past the public default of 200 (`tests/test_experiments.py` checks the campaign budget on it).
 LONG_SOLVE = dict(experiment="projector", p=20, n_grid=(21,), trials=20, seed=1)
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def configurations():
@@ -49,7 +43,6 @@ def configurations():
             yield f"golden/{experiment}_{estimator}", ExperimentConfig(
                 experiment=experiment, estimator=estimator, d=d, **GOLDEN)
     yield "long_solve/projector", ExperimentConfig(**LONG_SOLVE)
-    workloads = _workloads()
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
         for name in workloads.WORKLOADS:
             yield f"perfbench/{name}@{seed}", ExperimentConfig(**workloads.config_kwargs(name, seed))

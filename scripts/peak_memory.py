@@ -16,24 +16,18 @@ ran before, as a resident-set peak does.
 
 from __future__ import annotations
 
-import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cesevd.experiments as exp  # noqa: E402
 from cesevd import CesDistribution, RandomStream, coeffs_numeric, gaussian_spec, student_spec  # noqa: E402
 from cesevd.estimators import unit_weight_sigma  # noqa: E402
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import workloads  # noqa: E402
 
 
 def peak_mib(fn, *args):
@@ -48,7 +42,6 @@ def peak_mib(fn, *args):
 
 
 def main() -> int:
-    workloads = _workloads()
     for name in workloads.WORKLOADS:
         config = exp.ExperimentConfig(**workloads.config_kwargs(name, workloads.DEFAULT_SEED))
         camp, peak = peak_mib(exp._Campaign, config)

@@ -26,7 +26,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results", help="output directory (default: results/)")
     parser.add_argument("--seed", type=int, default=20080)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--quick", action="store_true", help="50 trials per point, 4-point grid")
     parser.add_argument("--experiments", nargs="*", default=list(EXPERIMENTS), choices=EXPERIMENTS)
     args = parser.parse_args(argv)
@@ -37,9 +36,7 @@ def main(argv=None) -> int:
 
     for name in args.experiments:
         trials = 50 if args.quick else TRIALS[name]
-        config = ExperimentConfig(
-            experiment=name, n_grid=n_grid, trials=trials, seed=args.seed, threads=args.threads
-        )
+        config = ExperimentConfig(experiment=name, n_grid=n_grid, trials=trials, seed=args.seed)
         t0 = time.perf_counter()
         result = run_experiment(config)
         csv_path = outdir / f"{name}.csv"

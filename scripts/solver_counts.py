@@ -19,23 +19,17 @@ block, so the counts are those of the campaign itself, and deterministic.
 from __future__ import annotations
 
 import dataclasses
-import importlib.util
 import statistics
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cesevd.estimators as est  # noqa: E402
 import cesevd.experiments as exp  # noqa: E402
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+import workloads  # noqa: E402
 
 
 class Counter:
@@ -96,7 +90,6 @@ def _counted_campaign(config, counter: Counter) -> None:
 
 
 def main() -> int:
-    workloads = _workloads()
     print("workload     seed    n     path      solves  fallbacks  whitenings med/max  weight evals med/max")
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
         for name in workloads.WORKLOADS:

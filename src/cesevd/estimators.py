@@ -387,10 +387,10 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     with u' = (Psi' - u)/t. The weights start from the Anderson sweeps' first
     image, w = u(y t) at the start iterate and its scale root y. Each step
     whitens, certifies S(w) on the plain map as the sweeps do, and solves
-    the n x n Newton systems of the stack in one call; a step is halved
-    only to keep every weight positive. A sample whose first sweep fails
-    gets that sweep's DegeneracyError. One whose later factorization or
-    Newton system fails, or that is not certified within
+    the n x n Newton systems of the stack in one call. A sample whose first
+    sweep fails gets that sweep's DegeneracyError. One whose later
+    factorization or Newton system fails, whose full step is not finite or
+    would make a weight <= 0, or that is not certified within
     min(_NEWTON_STEPS, max_iter) whitenings, gets None.
     """
     B, p, n = Z.shape
@@ -436,12 +436,8 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
         step, bad = _each(np.linalg.solve, J, F[..., None])
         del J  # freed before the next step's n x n arrays
         step = step[..., 0]
-        bad += [j for j, ok in enumerate(np.isfinite(step).all(axis=-1).tolist()) if not ok and j not in bad]
-        step[bad] = 0.0  # those rows are dropped below
-        for j, ok in enumerate((w > step).all(axis=-1).tolist()):
-            if not ok:
-                while not (w[j] > step[j]).all():
-                    step[j] /= 2
+        usable = (np.isfinite(step) & (w > step)).all(axis=-1)  # a finite step that keeps every weight positive
+        bad += [j for j, ok in enumerate(usable.tolist()) if not ok and j not in bad]
         w = w - step
         Z, w = _finish(out, ids, bad, [], (Z, w))
     return out

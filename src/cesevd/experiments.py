@@ -5,9 +5,9 @@ Gaussian-core sample covariance from the same randomness, and reduces them to
 the experiment's statistic. Each experiment is one entry of `_EXPERIMENT_TABLE`:
 its CSV columns, set-up, statistic and theory row. Per-trial streams derive
 from (seed, grid index, trial index). The trials of a grid point run in fixed
-blocks whose robust estimates come from one stacked solve; a trial's result
-depends neither on its block nor on the block size, so results are a pure
-function of the configuration regardless of thread count or execution order.
+blocks, in order, whose robust estimates come from one stacked solve; a
+trial's result depends neither on its block nor on the block size, so results
+are a pure function of the configuration.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -89,7 +88,7 @@ class ExperimentConfig:
     eigvec_index: int = 1
     out: str | None = None
     svg: str | None = None
-    threads: int = 1
+    threads: int = 1  # accepted and checked, with no effect: every campaign runs its blocks in order
 
     def validate(self) -> None:
         if self.experiment not in EXPERIMENTS:
@@ -400,7 +399,7 @@ EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    """Run one campaign; deterministic given `config`, independent of thread count."""
+    """Run one campaign, block after block; deterministic given `config`."""
     config.validate()
     start = time.perf_counter()
     camp = _Campaign(config)
@@ -409,16 +408,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     for i, n in enumerate(config.n_grid):
         size = _block_trials(config.p, n)
-        blocks = [range(k, min(k + size, config.trials)) for k in range(0, config.trials, size)]
-
-        def worker(ks, _n=n, _i=i):
-            return camp.block(_n, [RandomStream(config.seed, (_i << 32) | k) for k in ks])
-
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as ex:
-                results = [res for block in ex.map(worker, blocks) for res in block]
-        else:
-            results = [res for ks in blocks for res in worker(ks)]
+        streams = [RandomStream(config.seed, (i << 32) | k) for k in range(config.trials)]
+        results = [res for k in range(0, config.trials, size) for res in camp.block(n, streams[k:k + size])]
         bad = 0
         for k, res in enumerate(results):
             if isinstance(res, NumericError):

@@ -412,7 +412,7 @@ def solver_residual(spec, Z, S):
 
 
 def newton_failure_sample():
-    """A sample on which Newton's method drives every weight towards 0 and certifies nothing.
+    """A sample whose full Newton step would make a weight <= 0, so Newton's method certifies nothing.
 
     Trial 124 at n = 40 of the eig_small_n benchmark campaign at its held-out seed.
     """
@@ -453,6 +453,22 @@ class TestNewton:
         (anderson,) = estimators._anderson_stack(spec, bad[None], SolverOptions())
         assert np.array_equal(stacked[1].entries, anderson.entries)
         assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z).entries) for S, Z in zip(stacked, samples))
+
+    def test_non_positive_step_hands_over_to_the_sweeps(self, monkeypatch):
+        # halving that step to keep the weights positive spent all 16 Newton whitenings, 38 in all
+        spec = student_spec(20, 3.0)
+        Z = newton_failure_sample()
+        (anderson,) = estimators._anderson_stack(spec, Z[None], SolverOptions())
+        calls = [0]
+        whiten = estimators._whiten
+
+        def counted(*args):
+            calls[0] += 1
+            return whiten(*args)
+
+        monkeypatch.setattr(estimators, "_whiten", counted)
+        assert np.array_equal(fixed_point_solve(spec, Z).entries, anderson.entries)
+        assert calls[0] <= 24
 
     def test_singular_newton_systems_give_the_anderson_solve_bitwise(self, monkeypatch):
         spec = student_spec(20, 3.0)

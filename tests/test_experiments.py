@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -142,6 +143,14 @@ class TestDeterminism:
         r1 = run_experiment(fast_config(threads=1))
         r2 = run_experiment(fast_config(threads=3))
         assert r1.rows == r2.rows
+
+    def test_threads_start_no_thread(self, monkeypatch):
+        # `threads` is accepted with no effect: every campaign runs its blocks in order
+        def refuse(self):
+            raise AssertionError(f"campaign started thread {self.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        run_experiment(fast_config(threads=3))
 
     def test_block_size_does_not_change_csv_bytes(self, tmp_path, monkeypatch):
         cfg = fast_config(n_grid=(50, 100), trials=40)
