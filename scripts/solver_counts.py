@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Print the solver's path and its whitenings and weight evaluations per solve on the perfbench workloads.
+"""Print the solver's path and its whitenings, weight evaluations and psi passes per solve on the benchmark workloads.
 
 Run from any directory; the campaigns use the `cesevd` source of the checkout
 this script sits in:
@@ -9,11 +9,13 @@ this script sits in:
 For each workload whose estimator is solved by `fixed_point_solve_stack`, at
 the benchmark's default and held-out seeds, it runs the campaign with one
 trial per block, so that every solve is a stack of one, and counts per solve
-the whitenings (calls of `estimators._whiten`) and the weight evaluations
-(calls of the spec's u). Each line gives the path the solver takes at that
-(p, n), how many solves Newton's method handed to the Anderson sweeps, and
-the median and maximum of both counts. A trial's solve does not depend on its
-block, so the counts are those of the campaign itself, and deterministic.
+the whitenings (calls of `estimators._whiten`), the weight evaluations (calls
+of the spec's u) and the psi passes (calls of the spec's psi, one per chunk
+of each step of the scale root). Each line gives the path the solver takes
+at that (p, n), how many solves Newton's method handed to the Anderson
+sweeps, and the median and maximum of the three counts. A trial's solve does
+not depend on its block, so the counts are those of the campaign itself, and
+deterministic.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ import workloads  # noqa: E402
 
 
 class Counter:
-    """Counts of the solve in progress, and one (whitenings, weight evaluations, fell back) record per solve."""
+    """Counts of the solve in progress, and one (whitenings, weight evals, psi passes, fell back) record per solve."""
 
     def __init__(self):
-        self.whitenings = self.weights = 0
+        self.whitenings = self.weights = self.psi = 0
         self.fell_back = False
-        self.solves: list[tuple[int, int, bool]] = []
+        self.solves: list[tuple[int, int, int, bool]] = []
 
     def wrap(self, fn, field):
         def counted(*args, **kwargs):
@@ -49,10 +51,10 @@ class Counter:
 
     def solve(self, fn):
         def recorded(*args, **kwargs):
-            self.whitenings = self.weights = 0
+            self.whitenings = self.weights = self.psi = 0
             self.fell_back = False
             result = fn(*args, **kwargs)
-            self.solves.append((self.whitenings, self.weights, self.fell_back))
+            self.solves.append((self.whitenings, self.weights, self.psi, self.fell_back))
             return result
 
         return recorded
@@ -70,7 +72,7 @@ def _counted_campaign(config, counter: Counter) -> None:
 
     def counted_spec(*args):
         spec = student_spec(*args)
-        return dataclasses.replace(spec, u=counter.wrap(spec.u, "weights"))
+        return dataclasses.replace(spec, u=counter.wrap(spec.u, "weights"), psi=counter.wrap(spec.psi, "psi"))
 
     patches = [
         (exp, "_BLOCK_BYTES", 1),  # one trial per block
@@ -90,7 +92,8 @@ def _counted_campaign(config, counter: Counter) -> None:
 
 
 def main() -> int:
-    print("workload     seed    n     path      solves  fallbacks  whitenings med/max  weight evals med/max")
+    print("workload     seed    n     path      solves  fallbacks  whitenings med/max  weight evals med/max"
+          "  psi passes med/max")
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
         for name in workloads.WORKLOADS:
             config = exp.ExperimentConfig(**workloads.config_kwargs(name, seed))
@@ -102,12 +105,12 @@ def main() -> int:
             for i, n in enumerate(config.n_grid):
                 solves = counter.solves[i * config.trials:(i + 1) * config.trials]
                 newton = est._uses_newton(config.p, n)
-                fallbacks = sum(s[2] for s in solves) if newton else "-"
-                whit = [s[0] for s in solves]
-                wts = [s[1] for s in solves]
+                fallbacks = sum(s[3] for s in solves) if newton else "-"
+                whit, wts, psi = ([s[k] for s in solves] for k in range(3))
                 print(f"{name:12s} {seed:<7d} {n:<5d} {'newton' if newton else 'anderson':9s} {len(solves):6d} "
                       f"{fallbacks:>10}"
-                      f"  {statistics.median(whit):10g} / {max(whit):<4d}  {statistics.median(wts):12g} / {max(wts)}",
+                      f"  {statistics.median(whit):10g} / {max(whit):<4d}"
+                      f"  {statistics.median(wts):12g} / {max(wts):<4d}  {statistics.median(psi):10g} / {max(psi)}",
                       flush=True)
     return 0
 

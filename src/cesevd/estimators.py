@@ -137,78 +137,59 @@ def scm(Z) -> HermitianMatrix:
     return HermitianMatrix(_weighted_scatter(Z, None))
 
 
-def _add_scale_sums(spec: MEstimatorSpec, rows: np.ndarray, ys, val: list, slope: list) -> tuple[list, list]:
-    """val + sum(psi(x)) and slope + sum(psi'(x) * rows) of each row, x = rows * ys, in one pass.
+def _scale_sums(spec: MEstimatorSpec, q: np.ndarray, y: float, val: float, slope: float) -> tuple[float, float]:
+    """val + sum(psi(q*y)) and slope + sum(psi'(q*y) * q) over the values q, in one pass.
 
-    The columns go in chunks of _SCALE_CHUNK, each summed in one piece and
-    added to the row's running Python float, so no temporary is as large as a
-    long row. No sum goes through BLAS, whose threaded dot product would make
-    the sums depend on the BLAS thread count.
+    q goes in chunks of _SCALE_CHUNK, each summed in one piece and added to
+    the running Python float, so no temporary is as large as a long q. A
+    chunk is a (1, k) row: the recorded results were made with 2-D sums, and
+    a 1-D sum may round otherwise. No sum goes through BLAS, whose threaded
+    dot product would make the sums depend on the BLAS thread count.
     """
-    for i in range(0, rows.shape[-1], _SCALE_CHUNK):
-        c = rows[:, i:i + _SCALE_CHUNK]
-        cy = c * ys
-        val = [v + s for v, s in zip(val, spec.psi(cy).sum(axis=-1).tolist())]
-        slope = [v + s for v, s in zip(slope, np.einsum("ij,ij->i", spec.psi_prime(cy), c).tolist())]
+    q = q.reshape(1, -1)
+    for i in range(0, q.shape[1], _SCALE_CHUNK):
+        c = q[:, i:i + _SCALE_CHUNK]
+        cy = c * y
+        val += spec.psi(cy).sum(axis=-1).item()
+        slope += np.einsum("ij,ij->i", spec.psi_prime(cy), c).item()
     return val, slope
 
 
-def _solve_weight_scale(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Root y of mean(psi(t*y)) = p for each row of `t`, and mean(psi(t*y)) - p at its last evaluation.
+def _scale_root(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[float, float]:
+    """Root y of mean(psi(t*y)) = p for one sample's t, and mean(psi(t*y)) - p at its last evaluation.
 
-    `t` has shape (..., n); both results have shape t.shape[:-1], and a row
-    whose equation has no root gets y = nan. In a sweep y = 1/c recalibrates
-    each iterate's scale; in `solve_sigma`, t is the modular-variate sample
+    (nan, nan) when the equation has no root. In a sweep y = 1/c recalibrates
+    the iterate's scale; in `solve_sigma`, t is the modular-variate sample
     and y the calibrated scale.
 
     mean(psi(t*y)) is non-decreasing in y and its root is y = 1 at any fixed
     point (trace identity), so Newton steps start there. Every evaluation
     narrows a bracket on the root, and a step that leaves the bracket is
     replaced by bisection (or by doubling while no upper end is known). A
-    step that would leave [1/_SCALE_LIMIT, _SCALE_LIMIT] ends the row's search
-    with y = nan, as when a bounded psi stays below p. Each step evaluates the
-    rows still unsolved together, in one pass of `_add_scale_sums`; a row's
-    bracket logic runs on Python floats, so its result does not depend on the
-    other rows.
+    step that would leave [1/_SCALE_LIMIT, _SCALE_LIMIT] ends the search
+    with no root, as when a bounded psi stays below p.
     """
-    rows = t.reshape(-1, t.shape[-1])
-    m, n = rows.shape
+    n = t.shape[-1]
     target = n * p
-    y_out, r_out = [np.nan] * m, [np.nan] * m
-    lo, hi, y = [0.0] * m, [np.inf] * m, [1.0] * m
-    active, sub = list(range(m)), rows
+    lo, hi, y = 0.0, np.inf, 1.0
     for _ in range(_SCALE_MAX_STEPS):
-        # a single row is scaled by a Python float: the same products, without a column temporary
-        ys = y[active[0]] if len(active) == 1 else np.array([y[b] for b in active])[:, None]
-        val, slope = _add_scale_sums(spec, sub, ys, [-float(target)] * len(active), [0.0] * len(active))
-        unsolved = []
-        for b, v, s in zip(active, val, slope):
-            yb = y[b]
-            if abs(v) <= 1e-13 * target:
-                y_out[b], r_out[b] = yb, v / n
-                continue
-            if v > 0:
-                hi[b] = yb
-            else:
-                lo[b] = yb
-            step = yb - v / s if s > 0 else np.nan
-            if not lo[b] < step < hi[b]:
-                step = 0.5 * (lo[b] + hi[b]) if hi[b] < np.inf else 2.0 * yb
-            elif abs(step - yb) <= 1e-8 * yb:
-                # Newton converges quadratically: the error left is ~1e-16 y
-                y_out[b], r_out[b] = step, v / n
-                continue
-            if not 1 / _SCALE_LIMIT <= step <= _SCALE_LIMIT:
-                continue  # no root in range: y = nan
-            y[b] = step
-            unsolved.append(b)
-        if not unsolved:
+        v, s = _scale_sums(spec, t, y, -float(target), 0.0)
+        if abs(v) <= 1e-13 * target:
+            return y, v / n
+        if v > 0:
+            hi = y
+        else:
+            lo = y
+        step = y - v / s if s > 0 else np.nan
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < np.inf else 2.0 * y
+        elif abs(step - y) <= 1e-8 * y:
+            # Newton converges quadratically: the error left is ~1e-16 y
+            return step, v / n
+        if not 1 / _SCALE_LIMIT <= step <= _SCALE_LIMIT:
             break
-        if len(unsolved) < len(active):
-            sub = rows[unsolved]
-        active = unsolved
-    shape = t.shape[:-1]
-    return np.array(y_out).reshape(shape), np.array(r_out).reshape(shape)
+        y = step
+    return np.nan, np.nan
 
 
 def _whiten(L: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -400,7 +381,7 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     L, bad = _each(np.linalg.cholesky, _start(Z, opts.init))
     Z, L = _finish(out, ids, bad, [_singular_iterate() for _ in bad], (Z, L))
     t = _whiten(L, Z)[1]
-    y, _ = _solve_weight_scale(spec, t, p)
+    y = np.array([_scale_root(spec, tj, p)[0] for tj in t])
     bad = [j for j, v in enumerate(y.tolist()) if v != v]  # no root
     Z, t, y = _finish(out, ids, bad, [_no_scale_root() for _ in bad], (Z, t, y))
     w = spec.u(t * y[:, None])
@@ -467,7 +448,7 @@ def _anderson_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) ->
         if not ids:
             break
         t = _whiten(L, Z)[1]
-        y, _ = _solve_weight_scale(spec, t, p)
+        y = np.array([_scale_root(spec, tj, p)[0] for tj in t])
         bad = [j for j, v in enumerate(y.tolist()) if v != v]  # no root
         if bad:
             Z, S, t, y = finish(bad, [_no_scale_root() for _ in bad], (Z, S, t, y))
@@ -582,14 +563,14 @@ def solve_sigma(
     from one streamed pass that never holds Q.
     """
     Q = modular_variate_sample(dist, p, draws, stream or _CALIBRATION_STREAM)
-    sigma, resid = _solve_weight_scale(spec, Q, p)
+    sigma, resid = _scale_root(spec, Q, p)
     if np.isnan(sigma):
         raise CalibrationError("the scale equation has no root")
     if not 1e-3 <= sigma <= 1e3:
         raise CalibrationError(f"the scale root {sigma:.3g} lies outside [1e-3, 1e3]")
     if abs(resid) >= 1e-3 * p:
         raise CalibrationError("the scale equation residual is too large")
-    return float(sigma)
+    return sigma
 
 
 def unit_weight_sigma(
@@ -612,11 +593,10 @@ def unit_weight_sigma(
     """
     spec = gaussian_spec()
     target = draws * p
-    val, slope = [-float(target)], [0.0]
+    v, s = -float(target), 0.0
     for Q in modular_variate_chunks(dist, p, draws, stream or _CALIBRATION_STREAM):
-        val, slope = _add_scale_sums(spec, Q[None], 1.0, val, slope)
+        v, s = _scale_sums(spec, Q, 1.0, v, s)
         del Q  # dropped before the next piece is drawn
-    (v,), (s,) = val, slope
     if not (np.isfinite(v) and 0 < s < np.inf):
         raise CalibrationError("the scale equation's sums are not finite")
     sigma = 1.0 if abs(v) <= 1e-13 * target else 1.0 - v / s

@@ -127,11 +127,12 @@ def hermitian_evd(M) -> EvdResult:
     """Canonical eigendecomposition of a Hermitian matrix.
 
     Eigenvalues are sorted descending (ties permitted here; operations whose
-    formulas divide by eigenvalue gaps reject them separately).
+    formulas divide by eigenvalue gaps reject them separately). It is built
+    on `hermitian_eigh`, so a HermitianMatrix that has been decomposed is not
+    decomposed again.
     """
-    H = hermitian_entries(M)
     try:
-        lam, U = np.linalg.eigh(H)
+        lam, U = hermitian_eigh(M)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver failed to converge: {exc}") from exc
     lam = lam[::-1].copy()

@@ -382,7 +382,7 @@ class TestSolveStack:
         Z = np.stack(t_samples(2000, 3))
         S = np.stack([fixed_point_solve(spec, z).entries for z in Z])
         t = estimators._whiten(np.linalg.cholesky(S), Z)[1]
-        y, _ = estimators._solve_weight_scale(spec, t, 20)
+        y = np.array([estimators._scale_root(spec, tj, 20)[0] for tj in t])
         assert np.all(y == 1.0)
         norm_S = estimators._frobenius(S)
         T = estimators._weighted_scatter(Z, spec.u(t * y[:, None]))
@@ -391,17 +391,19 @@ class TestSolveStack:
             plain = estimators._weighted_scatter(Z[j], spec.u(t[j])) - S[j]
             assert resid[j] == estimators._frobenius(plain[None])[0] / norm_S[j]
 
-    def test_scale_root_rows_equal_single_rows_bitwise(self):
+    def test_scale_root_matches_reference_bisection(self):
         spec = student_spec(20, 3.0)
         rng = np.random.default_rng(3)
         for n in (40, 95, 2000):
             t = rng.gamma(20.0, 1.0, (6, n)) * np.linspace(0.5, 2.0, 6)[:, None]
             t[4] = 0.0  # psi(0) = 0: no root for this row
-            y, resid = estimators._solve_weight_scale(spec, t, 20)
-            assert np.isnan(y[4]) and np.isnan(resid[4])
-            for b in (0, 1, 2, 3, 5):
-                yb, rb = estimators._solve_weight_scale(spec, t[b], 20)
-                assert y[b] == yb and resid[b] == rb
+            for b in range(6):
+                y, resid = estimators._scale_root(spec, t[b], 20)
+                if b == 4:
+                    assert np.isnan(y) and np.isnan(resid)
+                else:
+                    reference = bisect_scale(spec, t[b], 20)
+                    assert abs(y - reference) <= 1e-12 * reference
 
 
 def solver_residual(spec, Z, S):
@@ -530,10 +532,10 @@ class TestSolveSigma:
             sizes.append(x.size)
             return spec.psi(x)
 
-        chunked, _ = estimators._solve_weight_scale(dataclasses.replace(spec, psi=psi), t, 20)
+        chunked, _ = estimators._scale_root(dataclasses.replace(spec, psi=psi), t, 20)
         assert max(sizes) == estimators._SCALE_CHUNK and len(sizes) % 3 == 0
         monkeypatch.setattr(estimators, "_SCALE_CHUNK", t.size)
-        whole, _ = estimators._solve_weight_scale(spec, t, 20)
+        whole, _ = estimators._scale_root(spec, t, 20)
         assert abs(chunked - whole) <= 1e-14 * whole
 
     def test_same_bits_for_any_blas_thread_count(self):

@@ -117,6 +117,19 @@ class TestHermitianEvd:
             assert abs(piv.imag) < 1e-12
             assert piv.real > -1e-12
 
+    def test_reads_the_cached_pair(self, monkeypatch):
+        # a campaign's scatter is decomposed once, for the sampler's root, and not again for its EVD
+        H = toeplitz_scatter(20, 0.9 * np.exp(1j * np.pi / 4))
+        H.sqrt
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda A: calls.append(A) or eigh(A))
+        ev = hermitian_evd(H)
+        assert not calls
+        fresh = hermitian_evd(np.array(H.entries))
+        assert len(calls) == 1
+        assert ev.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+        assert ev.eigenvectors.tobytes() == fresh.eigenvectors.tobytes()
+
     def test_deterministic(self):
         M = random_hermitian(np.random.default_rng(3), 6)
         a, b = hermitian_evd(M), hermitian_evd(M)
