@@ -62,7 +62,7 @@ class Counter:
 
 def _counted_campaign(config, counter: Counter) -> None:
     """Run `config` with every solve recorded by `counter`, restoring the patched names afterwards."""
-    anderson = est._anderson_stack
+    anderson = est._anderson_solve
 
     def fallback(*args):
         counter.fell_back = True
@@ -79,7 +79,7 @@ def _counted_campaign(config, counter: Counter) -> None:
         (exp, "fixed_point_solve_stack", counter.solve(exp.fixed_point_solve_stack)),
         (exp, "student_spec", counted_spec),
         (est, "_whiten", counter.wrap(est._whiten, "whitenings")),
-        (est, "_anderson_stack", fallback),
+        (est, "_anderson_solve", fallback),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:

@@ -83,7 +83,6 @@ from .sampling import (
     CesDistribution,
     CoupledSample,
     RandomStream,
-    coupled_modular_variates,
     modular_variate_sample,
     sample_coupled,
 )

@@ -71,8 +71,8 @@ class SolverOptions:
             raise InputError("tol must be > 0")
         if self.max_iter < 1:
             raise InputError("max_iter must be >= 1")
-        if self.init not in ("scm", "identity"):
-            raise InputError(f"init must be 'scm' or 'identity', got {self.init!r}")
+        if self.init != "scm":
+            raise InputError(f"init must be 'scm', got {self.init!r}")
 
 
 def gaussian_spec() -> MEstimatorSpec:
@@ -205,12 +205,12 @@ def _whiten(L: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frobenius(A: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a C-contiguous complex stack, as one dot product of its real view."""
-    return _norms(A.view(np.float64).reshape(len(A), -1))
+    """Frobenius norm of a C-contiguous complex matrix, or of each of a stack, as one dot product of its real view."""
+    return _norms(A.view(np.float64).reshape(*A.shape[:-2], -1))
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a real (m, k) array, one BLAS dot product per row."""
+    """Euclidean norm of a real vector, or of each row of a real (m, k) array, one BLAS dot product per row."""
     return np.sqrt(np.vecdot(x, x))
 
 
@@ -284,6 +284,14 @@ def _each(fn, *stacks) -> tuple[np.ndarray, list]:
     return out, bad
 
 
+def _cholesky(S: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor of S, or None when S is not (numerically) positive definite."""
+    try:
+        return np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _singular_iterate() -> DegeneracyError:
     return DegeneracyError("singular iterate: Cholesky factorization failed")
 
@@ -292,29 +300,25 @@ def _no_scale_root() -> DegeneracyError:
     return DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
 
 
-def _finish(out: list, ids: list, rows: list, results: list, arrays, lists=()) -> list:
+def _finish(out: list, ids: list, rows: list, results: list, arrays) -> list:
     """Record each finished row's result at its caller's position; return `arrays` without those rows.
 
-    `ids` (the caller's position of each live row) and each of `lists` lose
-    the same rows, in place.
+    `ids`, the caller's position of each live row, loses the same rows, in place.
     """
     if not rows:
         return list(arrays)
     for j, res in zip(rows, results):
         out[ids[j]] = res
     keep = [j for j in range(len(ids)) if j not in rows]
-    for lst in (ids, *lists):
-        lst[:] = [lst[j] for j in keep]
+    ids[:] = [ids[j] for j in keep]
     return [arr[keep] for arr in arrays]
 
 
-def _start(Z: np.ndarray, init: str) -> np.ndarray:
-    """The first iterate of each sample of a stack: its SCM scaled to trace p, or the identity."""
-    B, p, _ = Z.shape
-    if init == "identity":
-        return np.repeat(np.eye(p, dtype=complex)[None], B, axis=0)
+def _start(Z: np.ndarray) -> np.ndarray:
+    """The first iterate of a sample, or of each sample of a stack: its SCM scaled to trace p."""
+    p = Z.shape[-2]
     S = _weighted_scatter(Z, None)
-    return S * (p / np.trace(S, axis1=-2, axis2=-1).real)[:, None, None]
+    return S * (p / np.trace(S, axis1=-2, axis2=-1).real)[..., None, None]
 
 
 def _uses_newton(p: int, n: int) -> bool:
@@ -323,22 +327,23 @@ def _uses_newton(p: int, n: int) -> bool:
 
 
 def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> list:
-    """`fixed_point_solve` of every sample of a stack, in one loop of stacked iterations.
+    """`fixed_point_solve` of every sample of a stack.
 
     `Z` holds B samples of the same shape p x n: a (B, p, n) array or a
     sequence of p x n arrays. Returns one entry per sample: its solution as a
     HermitianMatrix, or the ConvergenceError or DegeneracyError that
-    `fixed_point_solve` raises for it. Every stacked step works sample by
-    sample with the arithmetic of a single sample's solve, so each entry is
-    bitwise what `fixed_point_solve` returns for that sample alone, whatever
-    its stack-mates and the stack size. A sample is dropped from the stacked
-    arrays once it is certified or has failed.
+    `fixed_point_solve` raises for it. Each entry is bitwise what
+    `fixed_point_solve` returns for that sample alone, whatever its
+    stack-mates and the stack size.
 
     The shape alone picks the method. For n <= _NEWTON_RATIO * p, Newton's
-    method on the n trial weights (`_newton_stack`) runs first, and a sample
-    it does not certify is solved by the Anderson sweeps (`_anderson_stack`),
-    with the result those give it for any n. Above that crossover the
-    Anderson sweeps solve every sample.
+    method on the n trial weights runs on the whole stack at once
+    (`_newton_stack`): its stacked n x n systems share BLAS and LAPACK calls,
+    and every stacked step works sample by sample with the arithmetic of a
+    single sample's solve. A sample it does not certify is solved by the
+    Anderson sweeps (`_anderson_solve`), with the result those give it for
+    any n. Above that crossover the Anderson sweeps solve every sample, one
+    sample at a time.
     """
     opts = opts or SolverOptions()
     if len(Z) == 1:  # a stack of one: its sample is viewed, not copied
@@ -348,14 +353,8 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     B, p, n = Z.shape
     if n <= p:
         raise DegeneracyError(f"need n > p samples for a full-rank solution, got n={n}, p={p}")
-    if not _uses_newton(p, n):
-        return _anderson_stack(spec, Z, opts)
-    out = _newton_stack(spec, Z, opts)
-    rest = [b for b, res in enumerate(out) if res is None]
-    if rest:
-        for b, res in zip(rest, _anderson_stack(spec, Z[rest], opts)):
-            out[b] = res
-    return out
+    out = _newton_stack(spec, Z, opts) if _uses_newton(p, n) else [None] * B
+    return [_anderson_solve(spec, z, opts) if res is None else res for z, res in zip(Z, out)]
 
 
 def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> list:
@@ -378,7 +377,7 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     out: list = [None] * B
     ids = list(range(B))
     # The first sweep, and its failures, are the Anderson sweeps' own.
-    L, bad = _each(np.linalg.cholesky, _start(Z, opts.init))
+    L, bad = _each(np.linalg.cholesky, _start(Z))
     Z, L = _finish(out, ids, bad, [_singular_iterate() for _ in bad], (Z, L))
     t = _whiten(L, Z)[1]
     y = np.array([_scale_root(spec, tj, p)[0] for tj in t])
@@ -424,88 +423,56 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     return out
 
 
-def _anderson_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> list:
-    """The accelerated fixed-point sweeps of `fixed_point_solve` on a (B, p, n) stack.
+def _anderson_solve(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions):
+    """The accelerated fixed-point sweeps of `fixed_point_solve` on one p x n sample.
 
-    Returns the entries `fixed_point_solve_stack` returns; each sample keeps
-    its own Anderson history.
+    Returns its entry of `fixed_point_solve_stack`: the solution as a
+    HermitianMatrix, or the DegeneracyError or ConvergenceError it gets.
     """
-    B, p, n = Z.shape
-    S = _start(Z, opts.init)
-    out: list = [None] * B
-    ids = list(range(B))  # the caller's position of each live row
-    history: list = [[] for _ in range(B)]  # each row's (residual, image) differences, oldest first
-    last: list = [None] * B  # each row's last (residual, image); None before its first sweep and after a restart
-
-    def finish(rows, results, arrays):
-        """Record each finished row's result; return `arrays` with the other rows, and compact the lists alike."""
-        return _finish(out, ids, rows, results, arrays, (history, last))
-
-    L, bad = _each(np.linalg.cholesky, S)
-    if bad:
-        Z, S, L = finish(bad, [_singular_iterate() for _ in bad], (Z, S, L))
+    p = Z.shape[0]
+    S = _start(Z)
+    history: list = []  # (residual, image) differences, oldest first
+    last = None  # the last (residual, image); None before the first sweep and after a restart
+    L = _cholesky(S)
+    if L is None:
+        return _singular_iterate()
     for _ in range(opts.max_iter):
-        if not ids:
-            break
         t = _whiten(L, Z)[1]
-        y = np.array([_scale_root(spec, tj, p)[0] for tj in t])
-        bad = [j for j, v in enumerate(y.tolist()) if v != v]  # no root
-        if bad:
-            Z, S, t, y = finish(bad, [_no_scale_root() for _ in bad], (Z, S, t, y))
-            if not ids:
-                break
-        T = _weighted_scatter(Z, spec.u(t * y[:, None]))
-        f = (T - S).view(np.float64).reshape(len(ids), -1)
+        y = _scale_root(spec, t, p)[0]
+        if y != y:  # no root
+            return _no_scale_root()
+        T = _weighted_scatter(Z, spec.u(t * y))
+        f = (T - S).view(np.float64).reshape(-1)
         norm_S = _frobenius(S)
         resid = _norms(f) / norm_S
-        done = []
-        for j in [j for j, r in enumerate(resid.tolist()) if r <= opts.tol]:
-            # Certify the contract on the plain (uncorrected) map before returning. At y = 1 the image
-            # is the plain one, and `resid` is its residual, computed with the same kernels.
-            if y[j] == 1.0:
-                done.append(j)
-            elif _frobenius((_weighted_scatter(Z[j], spec.u(t[j])) - S[j])[None])[0] / norm_S[j] <= opts.tol:
-                done.append(j)
-        if done:
-            Z, T, f, resid = finish(done, [HermitianMatrix(S[j]) for j in done], (Z, T, f, resid))
-            if not ids:
-                break
+        # Certify the contract on the plain (uncorrected) map before returning. At y = 1 the image
+        # is the plain one, and `resid` is its residual, computed with the same kernels.
+        if resid <= opts.tol and (
+                y == 1.0 or _frobenius(_weighted_scatter(Z, spec.u(t)) - S) / norm_S <= opts.tol):
+            return HermitianMatrix(S)
 
-        # The next iterates: each row's Anderson mix, or its plain image.
+        # The next iterate: the Anderson mix, or the plain image.
+        if last is not None:
+            if len(history) == _ANDERSON_MEMORY:
+                del history[0]
+            history.append((f - last[0], T - last[1]))
+        last = f, T
         S = T.copy()
-        for j, hist in enumerate(history):
-            if last[j] is not None:
-                if len(hist) == _ANDERSON_MEMORY:
-                    del hist[0]
-                hist.append((f[j] - last[j][0], T[j] - last[j][1]))
-            last[j] = f[j], T[j]
-            if hist and not _anderson_mix(S[j], f[j], hist):
-                # A dependent history: restart from the plain image.
-                hist.clear()
-                last[j] = None
-        L, bad = _each(np.linalg.cholesky, S)
-        failed = []
-        if bad:
-            S = S.copy()  # a new stack: the one just factored is left as it was passed
-            for j in bad:
-                if history[j]:  # the row was mixed
-                    # A mix outside the positive-definite cone: restart from the plain image.
-                    history[j].clear()
-                    last[j] = None
-                    S[j] = T[j]
-                    Lj, plain_bad = _each(np.linalg.cholesky, S[j:j + 1])
-                    if not plain_bad:
-                        L[j] = Lj[0]
-                        continue
-                failed.append(j)
-        if failed:
-            Z, S, L, resid = finish(failed, [_singular_iterate() for _ in failed], (Z, S, L, resid))
-    for j, b in enumerate(ids):
-        out[b] = ConvergenceError(
-            f"no convergence within {opts.max_iter} iterations (last residual {resid[j]:.3e})",
-            residual=float(resid[j]),
-        )
-    return out
+        if history and not _anderson_mix(S, f, history):
+            # A dependent history: restart from the plain image.
+            history.clear()
+            last = None
+        L = _cholesky(S)
+        if L is None and history:
+            # A mix outside the positive-definite cone: restart from the plain image.
+            history.clear()
+            last = None
+            S = T
+            L = _cholesky(S)
+        if L is None:
+            return _singular_iterate()
+    return ConvergenceError(
+        f"no convergence within {opts.max_iter} iterations (last residual {resid:.3e})", residual=float(resid))
 
 
 def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> HermitianMatrix:
@@ -530,8 +497,9 @@ def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None
     method on w - u(t(w)) from the first sweep's image, with the iterate
     S(w) = (1/n) Z diag(w) Z^H: about 8 whitenings where the sweeps take
     about 20 at n = 2p. A sample that Newton's method does not certify
-    within a few steps gets the sweeps' solution. See `_newton_stack`.
-    This is `fixed_point_solve_stack` on a stack of one sample.
+    within a few steps gets the sweeps' solution. See `_newton_stack` and
+    `_anderson_solve`. This is `fixed_point_solve_stack` on a stack of one
+    sample.
     """
     (result,) = fixed_point_solve_stack(spec, [Z], opts)
     if isinstance(result, Exception):

@@ -5,9 +5,11 @@ Gaussian-core sample covariance from the same randomness, and reduces them to
 the experiment's statistic. Each experiment is one entry of `_EXPERIMENT_TABLE`:
 its CSV columns, set-up, statistic and theory row. Per-trial streams derive
 from (seed, grid index, trial index). The trials of a grid point run in fixed
-blocks, in order, whose robust estimates come from one stacked solve; a
-trial's result depends neither on its block nor on the block size, so results
-are a pure function of the configuration.
+blocks, in order, whose robust estimates come from one
+`fixed_point_solve_stack` call: Newton's method solves the block as a stack,
+the Anderson sweeps one sample at a time. A trial's result depends neither on
+its block nor on the block size, so results are a pure function of the
+configuration.
 """
 
 from __future__ import annotations
@@ -147,13 +149,16 @@ def _block_trials(p: int, n: int) -> int:
 
     A trial's share of a block is its solver's state plus about five p x n
     complex arrays: its coupled sample, its row of the solver's stack (copied
-    again when a stack-mate finishes and the stack is compacted) and the
-    sweep temporaries. The solver's state is about 16 p (2 m p + 6 p) bytes
-    in the Anderson sweeps, for memory m: the m residual and image
-    differences of its history, and its iterates and sweep arrays. Newton's
-    method on the weights keeps no history but holds two n x n arrays, the
-    complex Gram matrix of the whitened sample and the real Jacobian: 24 n^2
-    bytes on top of the iterates.
+    again when a stack-mate finishes and Newton's stack is compacted) and the
+    sweep temporaries. Newton's method on the weights holds two n x n arrays
+    per member, the complex Gram matrix of the whitened sample and the real
+    Jacobian: 24 n^2 bytes on top of the iterates. The Anderson sweeps solve
+    the block one sample at a time, so only one member's state, about
+    16 p (2 m p + 6 p) bytes for memory m (the m residual and image
+    differences of its history, its iterates and sweep arrays), is live at
+    once; it is still charged to every member, which keeps the block sizes
+    the campaigns' memory was measured with: at p = 20, 4, 2, 2 and 2
+    trials at n = 40, 62, 95 and 147, and one from n = 228 on.
     """
     state = 24 * n * n if _uses_newton(p, n) else 16 * p * 2 * _ANDERSON_MEMORY * p
     member = state + 16 * p * (6 * p + 5 * n)
@@ -235,10 +240,11 @@ class _Campaign:
     def block(self, n: int, streams: list) -> list:
         """Statistics of a block of trials, one stream each; a NumericError for an excluded trial.
 
-        The Student estimates of the block come from one stacked solve with the
-        `_SOLVER` budget; a trial that solve cannot finish is excluded with its
-        ConvergenceError or DegeneracyError. Each trial's sample, estimate and
-        statistics are those it has on its own.
+        The Student estimates of the block come from one
+        `fixed_point_solve_stack` call with the `_SOLVER` budget; a trial that
+        call cannot finish is excluded with its ConvergenceError or
+        DegeneracyError. Each trial's sample, estimate and statistics are
+        those it has on its own.
         """
         samples = [sample_coupled(self.dist, self.Sigma, n, stream) for stream in streams]
         if self.config.estimator == "student":

@@ -188,7 +188,11 @@ def modular_variate_sample(dist: CesDistribution, p: int, count: int, stream: Ra
 def coupled_modular_variate_chunks(
     dist: CesDistribution, p: int, count: int, stream: RandomStream, chunk: int = _DRAW_CHUNK
 ):
-    """The pairs (Q, ||g||^2) of `coupled_modular_variates`, in order, in pieces of at most `chunk` draws.
+    """Joint draws (Q, ||g||^2) under the coupled law, in order, in pieces of at most `chunk` draws.
+
+    This is the joint distribution realized by `sample_coupled`, without
+    materializing vectors; expectations that mix the modular variate with
+    the core norm must use it. `chunk=count` gives the draws in one piece.
 
     The stream draws all the gammas ||g||^2 first, then all the chi-squares u.
     To pair them piece by piece, a second generator on the same stream is
@@ -215,18 +219,6 @@ def coupled_modular_variate_chunks(
         yield dist.dof * gnorm2 / u, gnorm2
 
 
-def coupled_modular_variates(
-    dist: CesDistribution, p: int, count: int, stream: RandomStream
-) -> tuple[np.ndarray, np.ndarray]:
-    """Joint draws (Q, ||g||^2) under the coupled law, without materializing vectors.
-
-    This is the joint distribution realized by `sample_coupled`; expectations
-    that mix the modular variate with the core norm must use it.
-    """
-    (pair,) = coupled_modular_variate_chunks(dist, p, count, stream, chunk=count)
-    return pair
-
-
 __all__ = [
     "RandomStream",
     "CesDistribution",
@@ -234,6 +226,5 @@ __all__ = [
     "sample_coupled",
     "modular_variate_sample",
     "modular_variate_chunks",
-    "coupled_modular_variates",
     "coupled_modular_variate_chunks",
 ]

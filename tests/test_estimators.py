@@ -208,13 +208,6 @@ class TestFixedPoint:
         with pytest.raises(DegeneracyError):
             fixed_point_solve(student_spec(20, 3.0), cs.Z[:, :20])
 
-    def test_identity_init_reaches_same_solution(self):
-        _, cs = t_sample(p=6, n=500, seed=6)
-        spec = student_spec(6, 3.0)
-        a = fixed_point_solve(spec, cs.Z, SolverOptions(init="scm"))
-        b = fixed_point_solve(spec, cs.Z, SolverOptions(init="identity"))
-        assert np.linalg.norm(a.entries - b.entries) / np.linalg.norm(a.entries) < 1e-8
-
     def test_permutation_equivariance(self):
         _, cs = t_sample(p=6, n=500, seed=7)
         spec = student_spec(6, 3.0)
@@ -250,6 +243,8 @@ class TestFixedPoint:
             SolverOptions(tol=0.0)
         with pytest.raises(InputError):
             SolverOptions(init="random")
+        with pytest.raises(InputError):
+            SolverOptions(init="identity")  # every solve starts from the sample's SCM
 
 
 def t_samples(n, count, seed=21, p=20):
@@ -293,13 +288,6 @@ class TestSolveStack:
         samples = t_samples(62, 5)
         stacked = fixed_point_solve_stack(gaussian_spec(), samples)
         assert all(np.array_equal(S.entries, scm(Z).entries) for S, Z in zip(stacked, samples))
-
-    def test_identity_start_members_equal_single_solves_bitwise(self):
-        spec, opts = student_spec(20, 3.0), SolverOptions(init="identity")
-        samples = t_samples(95, 4)
-        stacked = fixed_point_solve_stack(spec, np.stack(samples), opts)
-        assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z, opts).entries)
-                   for S, Z in zip(stacked, samples))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_failures_stay_with_their_member(self):
@@ -360,7 +348,7 @@ class TestSolveStack:
 
         monkeypatch.setattr(np.linalg, "cholesky", record)
         fixed_point_solve(spec, samples[3])
-        target = factored[2][0]  # member 3's first Anderson mix
+        target = factored[2]  # member 3's first Anderson mix
 
         def reject_target(S):
             if any(np.array_equal(M, target) for M in np.reshape(S, (-1,) + target.shape)):
@@ -441,7 +429,7 @@ class TestNewton:
     def test_same_solution_as_the_anderson_sweeps(self):
         spec = student_spec(20, 3.0)
         for Z in t_samples(62, 3):
-            (anderson,) = estimators._anderson_stack(spec, Z[None], SolverOptions())
+            anderson = estimators._anderson_solve(spec, Z, SolverOptions())
             newton = fixed_point_solve(spec, Z).entries
             assert np.linalg.norm(newton - anderson.entries) / np.linalg.norm(anderson.entries) < 1e-8
 
@@ -452,7 +440,7 @@ class TestNewton:
         samples = t_samples(40, 2)
         samples.insert(1, bad)
         stacked = fixed_point_solve_stack(spec, samples)
-        (anderson,) = estimators._anderson_stack(spec, bad[None], SolverOptions())
+        anderson = estimators._anderson_solve(spec, bad, SolverOptions())
         assert np.array_equal(stacked[1].entries, anderson.entries)
         assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z).entries) for S, Z in zip(stacked, samples))
 
@@ -460,7 +448,7 @@ class TestNewton:
         # halving that step to keep the weights positive spent all 16 Newton whitenings, 38 in all
         spec = student_spec(20, 3.0)
         Z = newton_failure_sample()
-        (anderson,) = estimators._anderson_stack(spec, Z[None], SolverOptions())
+        anderson = estimators._anderson_solve(spec, Z, SolverOptions())
         calls = [0]
         whiten = estimators._whiten
 
@@ -475,7 +463,7 @@ class TestNewton:
     def test_singular_newton_systems_give_the_anderson_solve_bitwise(self, monkeypatch):
         spec = student_spec(20, 3.0)
         samples = t_samples(62, 3)
-        reference = [estimators._anderson_stack(spec, Z[None], SolverOptions())[0].entries for Z in samples]
+        reference = [estimators._anderson_solve(spec, Z, SolverOptions()).entries for Z in samples]
 
         def singular(*args):
             raise np.linalg.LinAlgError("injected: singular Newton system")
@@ -557,6 +545,22 @@ class TestSolveSigma:
                 "Sig = toeplitz_scatter(20, 0.9 * np.exp(1j * np.pi / 4)); "
                 "print(hashlib.sha256(b''.join(scm(sample_coupled(CesDistribution.student_t(3.0), Sig, 228, "
                 "RandomStream(21, k)).Z).entries.tobytes() for k in range(4))).hexdigest())")
+        one, two = under_blas_threads(code)
+        assert one == two
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: at p = 20 and n = 228 the Student solve takes other bits with 1 and 2 BLAS "
+        "threads, because both its scatter and its whitening products do",
+    )
+    def test_student_solve_same_bits_for_any_blas_thread_count(self):
+        code = ("import hashlib, numpy as np; "
+                "from cesevd import (CesDistribution, RandomStream, fixed_point_solve, sample_coupled, "
+                "student_spec, toeplitz_scatter); "
+                "Sig = toeplitz_scatter(20, 0.9 * np.exp(1j * np.pi / 4)); "
+                "print(hashlib.sha256(b''.join(fixed_point_solve(student_spec(20, 3.0), sample_coupled("
+                "CesDistribution.student_t(3.0), Sig, 228, RandomStream(21, k)).Z).entries.tobytes() "
+                "for k in range(4))).hexdigest())")
         one, two = under_blas_threads(code)
         assert one == two
 

@@ -7,7 +7,6 @@ from cesevd import (
     CesDistribution,
     HermitianMatrix,
     RandomStream,
-    coupled_modular_variates,
     modular_variate_sample,
     sample_coupled,
     toeplitz_scatter,
@@ -155,7 +154,8 @@ class TestModularVariate:
     def test_coupled_variates_match_full_sampler_law(self):
         # same joint law as sample_coupled: Q = d * ||g||^2 / u
         p, d = 6, 3.0
-        Q, g2 = coupled_modular_variates(CesDistribution.student_t(d), p, 50_000, RandomStream(9, 0))
+        ((Q, g2),) = coupled_modular_variate_chunks(CesDistribution.student_t(d), p, 50_000, RandomStream(9, 0),
+                                                     chunk=50_000)
         assert Q.shape == g2.shape == (50_000,)
         assert abs(g2.mean() - p) / p < 0.02
         cs = sample_coupled(CesDistribution.student_t(d), np.eye(p), 50_000, RandomStream(10, 0))
@@ -174,7 +174,7 @@ class TestModularVariate:
         g2 = rng.gamma(p, 1.0, count)
         Qc = g2 if dist.kind == "gaussian" else dist.dof * g2 / rng.chisquare(dist.dof, count)
         assert np.array_equal(modular_variate_sample(dist, p, count, RandomStream(13, 0)), Q)
-        Q1, g1 = coupled_modular_variates(dist, p, count, RandomStream(14, 0))
+        ((Q1, g1),) = coupled_modular_variate_chunks(dist, p, count, RandomStream(14, 0), chunk=count)
         assert np.array_equal(Q1, Qc) and np.array_equal(g1, g2)
         chunks = list(modular_variate_chunks(dist, p, count, RandomStream(13, 0), chunk=1000))
         assert [len(c) for c in chunks] == [1000, 1000, 500]
