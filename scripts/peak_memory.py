@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the tracemalloc peaks (MiB) of the perfbench workloads' set-up and trial blocks, and of `coeffs_numeric`.
+"""Print the tracemalloc peaks (MiB) of the perfbench workloads' set-up and trial blocks, and of `coeffs_numeric`,
+and each workload's minor page faults in a repeated campaign.
 
 Run from any directory; it measures the `cesevd` source of the checkout this
 script sits in:
@@ -7,15 +8,19 @@ script sits in:
     python3 scripts/peak_memory.py
 
 For each workload at the benchmark's default seed it prints the peak of the
-campaign set-up (`_Campaign`) and of one block of trials per n, then the
-peak of `coeffs_numeric` at its default 1e6 draws for the Student weight and
-for the unit weight. tracemalloc counts what Python and numpy allocate, so
-these numbers do not depend on the allocator's state or on what the process
-ran before, as a resident-set peak does.
+campaign set-up (`_Campaign`) and of one block of trials per n, and the minor
+page faults (`getrusage`) of its second full campaign in this process; then
+the peak of `coeffs_numeric` at its default 1e6 draws for the Student weight
+and for the unit weight. tracemalloc counts what Python and numpy allocate,
+so these peaks do not depend on the allocator's state or on what the process
+ran before, as a resident-set peak does. The faults do: a campaign that takes
+tens of thousands of them returns heap pages to the kernel and faults them
+back in on every trial.
 """
 
 from __future__ import annotations
 
+import resource
 import sys
 import tracemalloc
 from pathlib import Path
@@ -51,6 +56,11 @@ def main() -> int:
             streams = [RandomStream(config.seed, (i << 32) | k) for k in range(size)]
             _, peak = peak_mib(camp.block, n, streams)
             print(f"{name:12s} block n={n:<5d} ({size} trials)     {peak:7.2f}", flush=True)
+        exp.run_experiment(config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        exp.run_experiment(config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(f"{name:12s} minor faults, second campaign {faults:7d}", flush=True)
     p, d = 20, 3.0
     _, peak = peak_mib(coeffs_numeric, student_spec(p, d), CesDistribution.student_t(d), p)
     print(f"coeffs_numeric student p={p} d={d:g}        {peak:7.2f}")

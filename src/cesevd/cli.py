@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
@@ -54,8 +55,12 @@ def _cmd_run(args) -> int:
         if value is not None:
             mapping[key] = value
     config = config_from_mapping(mapping)
-    result = run_experiment(config)
     out = config.out or "results.csv"
+    for path in filter(None, (out, config.svg)):
+        folder = os.path.dirname(os.path.abspath(path))
+        if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+            raise ConfigError(f"cannot write {path!r}: {folder!r} is not a writable directory")
+    result = run_experiment(config)
     write_csv(result, out)
     print(f"experiment={config.experiment} rows={len(result.rows)} -> {out}")
     if config.svg:

@@ -552,19 +552,26 @@ def unit_weight_sigma(
     For Psi(t) = t the scale equation is linear in sigma, so the safeguarded
     Newton step from sigma = 1 lands on its root: solve_sigma's second pass
     finds it within its 1e-13 relative tolerance and returns it unchanged.
-    That first step needs only the two sums of the first pass, which are
-    taken here piece by piece as the draws are made, with solve_sigma's
-    arithmetic, so sigma has its bits while at most one piece of draws
-    (`sampling._DRAW_CHUNK`, a multiple of _SCALE_CHUNK) is held.
+    That first step needs only the two sums of the first pass at y = 1,
+    sum(Q) and sum(psi'(Q) * Q), which are taken here piece by piece as the
+    draws are made, on `_scale_sums`'s (1, _SCALE_CHUNK) chunks with its
+    reductions, so sigma has solve_sigma's bits. At y = 1, Q * y is Q and
+    psi' is one, so neither of `_scale_sums`'s chunk-sized temporaries is
+    made: one piece of draws (`sampling._DRAW_CHUNK`, 2^18 draws or 2 MiB)
+    and one row of ones are held.
     CalibrationError when the root lies outside [1e-3, 1e3] or the sums are
     not finite.
     """
-    spec = gaussian_spec()
     target = draws * p
     v, s = -float(target), 0.0
+    ones = np.ones((1, _SCALE_CHUNK))
     for Q in modular_variate_chunks(dist, p, draws, stream or _CALIBRATION_STREAM):
-        v, s = _scale_sums(spec, Q, 1.0, v, s)
-        del Q  # dropped before the next piece is drawn
+        Q = Q.reshape(1, -1)
+        for i in range(0, Q.shape[1], _SCALE_CHUNK):
+            c = Q[:, i:i + _SCALE_CHUNK]
+            v += c.sum(axis=-1).item()
+            s += np.einsum("ij,ij->i", ones[:, :c.shape[1]], c).item()
+        del Q, c  # dropped before the next piece is drawn
     if not (np.isfinite(v) and 0 < s < np.inf):
         raise CalibrationError("the scale equation's sums are not finite")
     sigma = 1.0 if abs(v) <= 1e-13 * target else 1.0 - v / s

@@ -105,6 +105,8 @@ class ExperimentConfig:
             raise ConfigError("rho_mod must be in [0, 1)")
         if not math.isfinite(self.rho_phase):
             raise ConfigError(f"rho_phase must be finite, got {self.rho_phase:g}")
+        if not self.n_grid:
+            raise ConfigError("n_grid must name at least one sample size")
         if any(n <= self.p for n in self.n_grid):
             raise ConfigError(f"n_grid entries must exceed p={self.p}: the estimators need n > p samples")
         if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):

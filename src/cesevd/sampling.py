@@ -18,12 +18,20 @@ from .linalg import HermitianMatrix, hermitian_eigh
 
 _MASK64 = (1 << 64) - 1
 
-# Draws per piece of a streamed pinned sample: 4 MiB of float64. A smaller piece holds less, but glibc
-# sets its dynamic mmap threshold, and twice that its heap-trim threshold, from the largest block freed
-# so far: after pieces of 2^16 or 2^17 draws, a crlb_scm campaign's trials at n = 2000 trimmed and
-# refaulted the heap (70k-100k page faults per campaign, up to 25 % slower). 2^18 was the smallest piece
-# without that churn; 2^19 keeps a factor of two in hand, for 2 MB more peak RSS.
-_DRAW_CHUNK = 1 << 19
+# Draws per piece of a streamed pinned sample: 2^18 float64, 2 MiB. glibc sets its dynamic mmap
+# threshold, and twice that its heap-trim threshold, from the largest mmapped block freed so far, so
+# the piece also sets how much heap stays mapped between later allocations. The perfbench crlb_scm
+# campaign (seed 1), run three times in one fresh process (2 vCPU, numpy 2.4, glibc malloc):
+#
+#   piece   minor faults, campaigns 2 and 3   peak RSS   campaign time
+#   2^16    56.6k each                        39.7 MB    0.90-1.32 s
+#   2^17    87.8k each                        39.7 MB    0.94-1.01 s
+#   2^18    127 and 0                         40.4 MB    0.76-0.85 s
+#   2^19    130 and 0                         42.4 MB    0.78-0.96 s
+#
+# Below 2^18 the n = 2000 trials trim and refault the heap on every trial; 2^18 is the smallest
+# piece without that churn.
+_DRAW_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -165,17 +173,18 @@ def _modular_draws(rng: np.random.Generator, dist: CesDistribution, p: int, k: i
     return Q
 
 
-def modular_variate_chunks(dist: CesDistribution, p: int, count: int, stream: RandomStream, chunk: int = _DRAW_CHUNK):
+def modular_variate_chunks(dist: CesDistribution, p: int, count: int, stream: RandomStream, chunk: int | None = None):
     """The draws of `modular_variate_sample`, in order, as arrays of at most `chunk` draws.
 
-    numpy's Generator draws element by element, so the pieces are bitwise
-    the one-shot sample. No piece is referenced here once it is handed out: a
+    `chunk=None` reads `_DRAW_CHUNK` when the function is called. numpy's
+    Generator draws element by element, so the pieces are bitwise the
+    one-shot sample. No piece is referenced here once it is handed out: a
     caller that drops each piece before asking for the next holds one at a
     time.
     """
     _check_draws(p, count)
     rng = stream.generator()
-    for k in _chunk_sizes(count, chunk):
+    for k in _chunk_sizes(count, _DRAW_CHUNK if chunk is None else chunk):
         yield _modular_draws(rng, dist, p, k)
 
 
@@ -186,13 +195,14 @@ def modular_variate_sample(dist: CesDistribution, p: int, count: int, stream: Ra
 
 
 def coupled_modular_variate_chunks(
-    dist: CesDistribution, p: int, count: int, stream: RandomStream, chunk: int = _DRAW_CHUNK
+    dist: CesDistribution, p: int, count: int, stream: RandomStream, chunk: int | None = None
 ):
     """Joint draws (Q, ||g||^2) under the coupled law, in order, in pieces of at most `chunk` draws.
 
     This is the joint distribution realized by `sample_coupled`, without
     materializing vectors; expectations that mix the modular variate with
-    the core norm must use it. `chunk=count` gives the draws in one piece.
+    the core norm must use it. `chunk=count` gives the draws in one piece;
+    `chunk=None` reads `_DRAW_CHUNK` when the function is called.
 
     The stream draws all the gammas ||g||^2 first, then all the chi-squares u.
     To pair them piece by piece, a second generator on the same stream is
@@ -201,7 +211,7 @@ def coupled_modular_variate_chunks(
     generator. Every piece is bitwise its part of the one-shot draw.
     """
     _check_draws(p, count)
-    sizes = _chunk_sizes(count, chunk)
+    sizes = _chunk_sizes(count, _DRAW_CHUNK if chunk is None else chunk)
     rng = stream.generator()
     if dist.kind == "gaussian":
         for k in sizes:

@@ -574,6 +574,27 @@ class TestSolveSigma:
             tracemalloc.stop()
         assert peak <= 36 * 2**20
 
+    def test_streamed_calibration_peak_memory(self):
+        # one 2 MiB piece of draws and one 512 KiB row of ones; a chunk-sized temporary per sum would add 1 MiB,
+        # and a piece of 2^19 draws 2 MiB more. numpy.random is loaded first: its lazy import takes 0.7 MiB.
+        RandomStream(0).generator()
+        tracemalloc.start()
+        try:
+            unit_weight_sigma(CesDistribution.student_t(3.0), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 1 << 17, 1 << 19])
+    def test_unit_weight_sigma_same_bits_for_any_draw_piece(self, monkeypatch, chunk):
+        # the pieces are read from _DRAW_CHUNK when the draws are made, so patching it resizes them
+        dist = CesDistribution.student_t(3.0)
+        sigma = unit_weight_sigma(dist, 20)
+        monkeypatch.setattr(sampling, "_DRAW_CHUNK", chunk)
+        assert [len(Q) for Q in sampling.modular_variate_chunks(dist, 20, 3 * chunk, RandomStream(0))] == [chunk] * 3
+        assert unit_weight_sigma(dist, 20) == sigma
+
     @pytest.mark.parametrize("d", [2.5, 3.0, 6.0, 30.0, None])
     @pytest.mark.parametrize("p", [2, 6, 20])
     def test_unit_weight_sigma_is_solve_sigma_bitwise(self, p, d):

@@ -24,6 +24,7 @@ from cesevd import (
     write_csv,
 )
 import cesevd.asymptotics as asymptotics
+import cesevd.cli as cli
 import cesevd.estimators as estimators
 import cesevd.experiments as exp
 from cesevd.cli import build_parser, main
@@ -61,6 +62,8 @@ class TestConfig:
             fast_config(n_grid=(100, 50)).validate()
         with pytest.raises(ConfigError):
             fast_config(n_grid=(6, 50)).validate()  # n = p: no full-rank solution
+        with pytest.raises(ConfigError):
+            fast_config(n_grid=()).validate()  # no grid point: a header-only CSV
 
     def test_validation_catches_bad_rank(self):
         with pytest.raises(ConfigError):
@@ -180,14 +183,6 @@ class TestOutputs:
         np.testing.assert_array_equal(data, np.array(res.rows, dtype=float))
         assert metadata["experiment"] == "eigenvalues"
         assert "wall_time_s" not in metadata
-
-    def test_empty_grid_header_only(self, tmp_path):
-        res = run_experiment(fast_config(n_grid=()))
-        path = tmp_path / "empty.csv"
-        write_csv(res, path)
-        columns, data, _ = read_csv(path)
-        assert columns == res.columns
-        assert data.shape == (0, len(columns))
 
     def test_svg_one_polyline_per_data_column(self, tmp_path):
         res = run_experiment(fast_config())
@@ -440,6 +435,27 @@ class TestCli:
         ])
         assert code == 2
         assert not out.exists()
+
+    def test_empty_grid_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(exp, "sample_coupled", lambda *args: pytest.fail("a trial ran"))
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "",
+            "--trials", "2", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, flag):
+        # rejected before the campaign, not by an OSError after it; the last of a repeated flag wins
+        monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("the campaign ran"))
+        code = main([
+            "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "50", "--trials", "2", "--seed", "1",
+            "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg"), flag, str(tmp_path / "missing" / "r"),
+        ])
+        assert code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_scm_without_theory_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exp, "unit_weight_sigma", lambda *args: pytest.fail("the scale was calibrated"))
