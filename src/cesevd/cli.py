@@ -60,6 +60,8 @@ def _cmd_run(args) -> int:
         folder = os.path.dirname(os.path.abspath(path))
         if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
             raise ConfigError(f"cannot write {path!r}: {folder!r} is not a writable directory")
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: it is a directory")
     result = run_experiment(config)
     write_csv(result, out)
     print(f"experiment={config.experiment} rows={len(result.rows)} -> {out}")

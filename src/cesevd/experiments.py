@@ -2,13 +2,14 @@
 
 Each trial draws a coupled sample, computes the robust estimate and the
 Gaussian-core sample covariance from the same randomness, and reduces them to
-the experiment's statistic. Each experiment is one entry of `_EXPERIMENT_TABLE`:
-its CSV columns, set-up, statistic and theory row. Per-trial streams derive
-from (seed, grid index, trial index). The trials of a grid point run in fixed
-blocks, in order, whose robust estimates come from one
-`fixed_point_solve_stack` call: Newton's method solves the block as a stack,
-the Anderson sweeps one sample at a time. A trial's result depends neither on
-its block nor on the block size, so results are a pure function of the
+the experiment's statistics, one trial at a time. Each experiment is one entry
+of `_EXPERIMENT_TABLE`: its CSV columns, set-up, per-trial statistic and theory
+row. Per-trial streams derive from (seed, grid index, trial index). The trials
+of a grid point run in fixed blocks, in order, whose robust estimates come from
+one `fixed_point_solve_stack` call. Only Newton's method solves a block as a
+stack, so a block holds several trials only at sample sizes Newton solves;
+above its crossover every block is one trial. A trial's result depends neither
+on its block nor on the block size, so results are a pure function of the
 configuration.
 """
 
@@ -29,7 +30,6 @@ from .asymptotics import (
 )
 from .errors import CampaignError, CesEvdError, ConfigError, DegeneracyError, NumericError
 from .estimators import (
-    _ANDERSON_MEMORY,
     _uses_newton,
     SolverOptions,
     fixed_point_solve,  # not called here: kept because perfbench's tracer swaps this name on the module
@@ -64,7 +64,7 @@ _VOLATILE_METADATA = ("wall_time_s",)
 
 _DEFAULT_N_GRID = (40, 62, 95, 147, 228, 352, 543, 838, 1295, 2000)
 
-# Working set of one block of trials solved together; see `_block_trials`. Larger blocks
+# Working set of one Newton block of trials solved together; see `_block_trials`. Larger blocks
 # solve faster but raise peak memory: 640 KiB adds about 0.7 MB to an eig_small_n campaign.
 _BLOCK_BYTES = 640 << 10
 
@@ -113,6 +113,8 @@ class ExperimentConfig:
             raise ConfigError("n_grid must be strictly increasing")
         if not 1 <= self.trials < 2**31:
             raise ConfigError("trials must be in [1, 2^31)")
+        if not 0 <= self.seed < 2**64:  # a stream keys on the seed's low 64 bits: others would alias
+            raise ConfigError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
         if not 1 <= self.eigvec_index <= self.p:
@@ -147,23 +149,19 @@ def _db(x: float) -> float:
 
 
 def _block_trials(p: int, n: int) -> int:
-    """Trials per block at sample size n: as many as fit in _BLOCK_BYTES, at least one.
+    """Trials per block at sample size n: one above Newton's crossover, else as many as fit in _BLOCK_BYTES.
 
-    A trial's share of a block is its solver's state plus about five p x n
-    complex arrays: its coupled sample, its row of the solver's stack (copied
-    again when a stack-mate finishes and Newton's stack is compacted) and the
-    sweep temporaries. Newton's method on the weights holds two n x n arrays
-    per member, the complex Gram matrix of the whitened sample and the real
-    Jacobian: 24 n^2 bytes on top of the iterates. The Anderson sweeps solve
-    the block one sample at a time, so only one member's state, about
-    16 p (2 m p + 6 p) bytes for memory m (the m residual and image
-    differences of its history, its iterates and sweep arrays), is live at
-    once; it is still charged to every member, which keeps the block sizes
-    the campaigns' memory was measured with: at p = 20, 4, 2, 2 and 2
-    trials at n = 40, 62, 95 and 147, and one from n = 228 on.
+    The Anderson sweeps solve one sample at a time, so only Newton's method
+    gains from a block. A Newton member holds two n x n arrays, the complex
+    Gram matrix of its whitened sample and the real Jacobian (24 n^2 bytes),
+    six p x p complex arrays for its iterates and about five p x n complex
+    arrays: its coupled sample, its row of the stack (copied again when a
+    stack-mate finishes and the stack is compacted) and the step temporaries.
+    At p = 20 that gives 4 and 2 trials at n = 40 and 62.
     """
-    state = 24 * n * n if _uses_newton(p, n) else 16 * p * 2 * _ANDERSON_MEMORY * p
-    member = state + 16 * p * (6 * p + 5 * n)
+    if not _uses_newton(p, n):
+        return 1
+    member = 24 * n * n + 16 * p * (6 * p + 5 * n)
     return max(1, _BLOCK_BYTES // member)
 
 
@@ -173,19 +171,6 @@ def _or_error(fn, *args):
         return fn(*args)
     except NumericError as exc:
         return exc
-
-
-def _descending_eigenvalues(mats: list) -> list:
-    """Eigenvalues of each Hermitian matrix, descending, from one stacked eigvalsh.
-
-    A NumericError stands for a matrix whose eigensolver does not converge.
-    """
-    try:
-        return list(np.linalg.eigvalsh(np.stack(mats))[:, ::-1])
-    except np.linalg.LinAlgError as exc:
-        if len(mats) == 1:
-            return [NumericError(f"eigensolver failed to converge: {exc}")]
-        return [_descending_eigenvalues([M])[0] for M in mats]
 
 
 def _pd_scm(Z):
@@ -245,42 +230,39 @@ class _Campaign:
         The Student estimates of the block come from one
         `fixed_point_solve_stack` call with the `_SOLVER` budget; a trial that
         call cannot finish is excluded with its ConvergenceError or
-        DegeneracyError. Each trial's sample, estimate and statistics are
-        those it has on its own.
+        DegeneracyError, and a trial whose statistic raises a NumericError
+        with that. Each trial's sample, estimate and statistics are those it
+        has on its own.
         """
         samples = [sample_coupled(self.dist, self.Sigma, n, stream) for stream in streams]
         if self.config.estimator == "student":
             estimates = fixed_point_solve_stack(self.spec, [cs.Z for cs in samples], _SOLVER)
         else:
             estimates = [_or_error(_pd_scm, cs.Z) for cs in samples]
-        return self.experiment.stats(self, samples, estimates)
+        stat = self.experiment.stat
+        return [SM if isinstance(SM, NumericError) else _or_error(stat, self, cs, SM)
+                for cs, SM in zip(samples, estimates)]
 
 
 @dataclass(frozen=True)
 class _Experiment:
-    """One experiment: CSV columns, statistics per trial, block statistic, theory row and set-up.
+    """One experiment: CSV columns, statistics per trial, theory row and set-up.
 
-    `stats(camp, samples, estimates)` gives each trial's `n_stats` statistics, or the
-    NumericError that excludes it; `row(camp, n, means)` turns the trial means at n into
-    the CSV row; `setup(camp)` runs once, after the scatter, the factor model (if
-    `factor_model`) and the coefficients theta/sigma (if `coeffs`). These functions look
-    up what they call in this module when they run, since tests and the tracer swap it.
+    `stat(camp, cs, SM)` gives one trial's `n_stats` statistics from its coupled sample
+    and robust estimate, or raises the NumericError that excludes the trial;
+    `row(camp, n, means)` turns the trial means at n into the CSV row; `setup(camp)` runs
+    once, after the scatter, the factor model (if `factor_model`) and the coefficients
+    theta/sigma (if `coeffs`). These functions look up what they call in this module
+    when they run, since tests and the tracer swap it.
     """
 
     columns: tuple[str, ...]
     n_stats: int
-    stats: Callable
+    stat: Callable
     row: Callable
     setup: Callable = lambda camp: None
     factor_model: bool = False
     coeffs: bool = False
-
-
-def _per_trial(stat):
-    """The block statistic that applies `stat(camp, cs, SM)` to each trial not yet excluded."""
-    return lambda camp, samples, estimates: [
-        SM if isinstance(SM, NumericError) else _or_error(stat, camp, cs, SM) for cs, SM in zip(samples, estimates)
-    ]
 
 
 def _mse_row(limit):
@@ -299,19 +281,15 @@ def _true_evd(camp) -> None:
     camp.evd_true = hermitian_evd(camp.Sigma)
 
 
-def _eigenvalue_stats(camp, samples, estimates) -> list:
-    """Only eigenvalues are needed, so one stacked eigvalsh per block and estimate kind."""
-    out = list(estimates)
-    ok = [b for b, SM in enumerate(estimates) if not isinstance(SM, NumericError)]
-    if not ok:
-        return out
+def _eigenvalue_trial(camp, cs, SM) -> tuple[float, float]:
+    """Only eigenvalues are needed, so eigvalsh of both estimates; a failed eigensolver excludes the trial."""
     lam, sig = camp.evd_true.eigenvalues, camp.sigma_scale
-    lamM = _descending_eigenvalues([estimates[b].entries for b in ok])
-    lamG = _descending_eigenvalues([scm(samples[b].X).entries for b in ok])
-    for b, lm, lg in zip(ok, lamM, lamG):
-        err = next((x for x in (lm, lg) if isinstance(x, NumericError)), None)
-        out[b] = err or (float(np.sum((sig * lm - lam) ** 2)), float(np.sum((sig * lm - lg) ** 2)))
-    return out
+    try:
+        lm = np.linalg.eigvalsh(SM.entries)[::-1]
+        lg = np.linalg.eigvalsh(scm(cs.X).entries)[::-1]
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver failed to converge: {exc}") from None
+    return (float(np.sum((sig * lm - lam) ** 2)), float(np.sum((sig * lm - lg) ** 2)))
 
 
 def _eigenvector_trial(camp, cs, SM) -> tuple[float, float]:
@@ -370,35 +348,35 @@ def _snr_loss_trial(camp, cs, SM) -> tuple[float, float, float]:
 
 _MSE_COLUMNS = ("n", "mse_emp_std_db", "mse_theory_std_db", "mse_emp_gcwe_db", "mse_theory_gcwe_db")
 
-# name -> (columns, n_stats, stats, row, setup, factor_model, coeffs)
+# name -> (columns, n_stats, stat, row, setup, factor_model, coeffs)
 _EXPERIMENT_TABLE = {
     "eigenvalues": _Experiment(
-        _MSE_COLUMNS, 2, _eigenvalue_stats,
+        _MSE_COLUMNS, 2, _eigenvalue_trial,
         _mse_row(lambda camp, c1, c2: eigenvalue_cov_trace(camp.evd_true.eigenvalues, c1, c2)),
         _true_evd, coeffs=True,
     ),
     "eigenvectors": _Experiment(
-        _MSE_COLUMNS, 2, _per_trial(_eigenvector_trial),
+        _MSE_COLUMNS, 2, _eigenvector_trial,
         _mse_row(lambda camp, c1, c2: eigenvector_cov_xi_trace(camp.evd_true, camp.config.eigvec_index, c1)),
         _true_evd, coeffs=True,
     ),
     "projector": _Experiment(
-        _MSE_COLUMNS, 2, _per_trial(_projector_trial),
+        _MSE_COLUMNS, 2, _projector_trial,
         _mse_row(lambda camp, c1, c2: c1 * projector_cov_sigma_pi(camp.model)),
         factor_model=True, coeffs=True,
     ),
     "intrinsic_bias": _Experiment(
         ("n", "eta_emp_est_db", "eta_emp_gcwe_db", "eta_theory_db"), 2,
-        _per_trial(_intrinsic_bias_trial), _intrinsic_bias_row,
+        _intrinsic_bias_trial, _intrinsic_bias_row,
     ),
     "crlb": _Experiment(
         ("n", "dnat2_emp_db", "crlb_ces_db", "crlb_ab_db", "crlb_biased_gauss_db"), 1,
-        _per_trial(lambda camp, cs, SM: (nat_distance(camp.Sigma, camp.sigma_scale * SM.entries) ** 2,)),
+        lambda camp, cs, SM: (nat_distance(camp.Sigma, camp.sigma_scale * SM.entries) ** 2,),
         _crlb_row, _crlb_setup,
     ),
     "snr_loss": _Experiment(
         ("n", "snr_emp_est_db", "snr_emp_gcwe_db", "snr_emp_scm_db", "snr_theory_db"), 3,
-        _per_trial(_snr_loss_trial),
+        _snr_loss_trial,
         lambda camp, n, m: (n, _db(m[0]), _db(m[1]), _db(m[2]), _db(snr_loss_theory(camp.config.r, n))),
         _steering_setup, factor_model=True,
     ),

@@ -156,7 +156,7 @@ class TestFixedPoint:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="known gap (ROADMAP item 6): the solver certifies with its own kernels; near n = p on a "
+        reason="known gap (ROADMAP item 7): the solver certifies with its own kernels; near n = p on a "
         "cond-1e6 scatter an independent recomputation reads 1.1e-10 to 3.9e-10",
     )
     def test_residual_contract_near_n_equals_p(self):

@@ -28,12 +28,14 @@ import cesevd.cli as cli
 import cesevd.estimators as estimators
 import cesevd.experiments as exp
 from cesevd.cli import build_parser, main
-from cesevd.errors import CampaignError, ConfigError, ConvergenceError, NumericError
+from cesevd.errors import CampaignError, ConfigError, ConvergenceError
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parents[1]
 
 FAST = dict(p=6, d=3.0, n_grid=(50, 100), trials=10, seed=99, r=2, lambda_r=(60.0, 30.0))
+# Sample sizes at p = 6 that Newton's method solves, where a block holds several trials (51 and 28).
+NEWTON_GRID = (12, 20)
 
 
 def fast_config(**overrides):
@@ -100,6 +102,14 @@ class TestConfig:
             fast_config(experiment=experiment, estimator="scm", d=d_min + 0.5).validate()
         fast_config(estimator="student", d=1.5).validate()
 
+    def test_validation_catches_seed_outside_64_bits(self):
+        # a stream keys on the seed's low 64 bits: 2^64 + 1 would rerun seed 1, and -1 seed 2^64 - 1
+        for seed in (-1, 2**64, 2**64 + 1):
+            with pytest.raises(ConfigError, match=r"seed must be in \[0, 2\^64\)"):
+                fast_config(seed=seed).validate()
+        for seed in (0, 2**64 - 1):
+            fast_config(seed=seed).validate()
+
     def test_config_keys_and_cli_flags_keep_their_order(self):
         keys = ("experiment", "p", "d", "rho_mod", "rho_phase", "n_grid", "trials", "seed", "estimator",
                 "r", "gamma2", "lambda_r", "eigvec_index", "out", "svg", "threads")
@@ -156,16 +166,17 @@ class TestDeterminism:
         run_experiment(fast_config(threads=3))
 
     def test_block_size_does_not_change_csv_bytes(self, tmp_path, monkeypatch):
-        cfg = fast_config(n_grid=(50, 100), trials=40)
-        assert exp._block_trials(cfg.p, 100) < cfg.trials < 2 * exp._block_trials(cfg.p, 50)
+        cfg = fast_config(n_grid=NEWTON_GRID, trials=40)
+        assert exp._block_trials(cfg.p, 20) < cfg.trials < 2 * exp._block_trials(cfg.p, 12)
         write_csv(run_experiment(cfg), tmp_path / "blocked.csv")
         monkeypatch.setattr(exp, "_BLOCK_BYTES", 1)  # one trial per block
         write_csv(run_experiment(cfg), tmp_path / "single.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
 
     def test_block_sizes_fit_the_working_set(self):
-        assert exp._block_trials(20, 40) > exp._block_trials(20, 95) > 1
-        assert exp._block_trials(20, 2000) == 1
+        # several trials only where Newton's method solves the block as a stack (n <= 4p)
+        assert [exp._block_trials(20, n) for n in (40, 62, 80, 81, 95, 147, 2000)] == [4, 2, 2, 1, 1, 1, 1]
+        assert [exp._block_trials(6, n) for n in NEWTON_GRID] == [51, 28]
 
     def test_seed_changes_results(self):
         r1 = run_experiment(fast_config())
@@ -312,27 +323,22 @@ class TestFailurePolicy:
 
 
 class TestEigenvalueStatistic:
-    def test_descending_eigenvalues_match_eigvalsh(self):
-        rng = np.random.default_rng(4)
-        A = rng.standard_normal((3, 5, 9)) + 1j * rng.standard_normal((3, 5, 9))
-        mats = list(A @ A.conj().transpose(0, 2, 1))
-        for lam, M in zip(exp._descending_eigenvalues(mats), mats):
-            np.testing.assert_array_equal(lam, np.linalg.eigvalsh(M)[::-1])
-
-    def test_eigensolver_failure_excludes_that_matrix_only(self, monkeypatch):
-        mats = [np.eye(3, dtype=complex) * k for k in (1.0, 2.0, 3.0)]
+    def test_eigensolver_failure_excludes_that_trial_only(self, monkeypatch):
+        # each trial takes eigvalsh of its robust estimate, then of its core SCM: call 3 is trial 1's estimate
         eigvalsh = np.linalg.eigvalsh
+        calls = []
 
-        def fail_on_two(M):
-            if np.any(np.asarray(M)[..., 0, 0] == 2.0):
+        def fail_on_trial_one(M):
+            calls.append(M)
+            if len(calls) == 3:
                 raise np.linalg.LinAlgError("injected: no convergence")
             return eigvalsh(M)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_two)
-        out = exp._descending_eigenvalues(mats)
-        assert isinstance(out[1], NumericError)
-        np.testing.assert_array_equal(out[0], [1.0, 1.0, 1.0])
-        np.testing.assert_array_equal(out[2], [3.0, 3.0, 3.0])
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_trial_one)
+        res = run_experiment(fast_config(n_grid=(50,), trials=100))
+        assert res.metadata["excluded"] == "50:1"
+        assert len(calls) == 2 * 100 - 1
+        assert all(math.isfinite(v) for v in res.rows[0])
 
     def test_true_scatter_evd_only_for_eigen_experiments(self, monkeypatch):
         # crlb and intrinsic_bias read no eigendecomposition of the true scatter
@@ -380,7 +386,7 @@ class TestStudentEstimator:
 
         monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("a trial was solved alone"))
         monkeypatch.setattr(exp, "fixed_point_solve_stack", stack)
-        cfg = fast_config(experiment="crlb", n_grid=(50, 100), trials=30)
+        cfg = fast_config(experiment="crlb", n_grid=NEWTON_GRID, trials=30)
         res = run_experiment(cfg)
         assert res.metadata["excluded"] == "none"
         sizes = [exp._block_trials(cfg.p, n) for n in cfg.n_grid]
@@ -446,13 +452,19 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--out", "--svg"])
-    def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, flag):
-        # rejected before the campaign, not by an OSError after it; the last of a repeated flag wins
+    @pytest.mark.parametrize("flag, target", [
+        pytest.param("--out", "missing/r", id="--out"),
+        pytest.param("--svg", "missing/r", id="--svg"),
+        pytest.param("--out", ".", id="--out-directory"),
+        pytest.param("--svg", ".", id="--svg-directory"),
+    ])
+    def test_missing_output_directory_exit_code(self, tmp_path, monkeypatch, flag, target):
+        # a missing directory, or a path that is a directory: rejected before the campaign, not by an
+        # OSError after it; the last of a repeated flag wins
         monkeypatch.setattr(cli, "run_experiment", lambda *args: pytest.fail("the campaign ran"))
         code = main([
             "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "50", "--trials", "2", "--seed", "1",
-            "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg"), flag, str(tmp_path / "missing" / "r"),
+            "--out", str(tmp_path / "r.csv"), "--svg", str(tmp_path / "r.svg"), flag, str(tmp_path / target),
         ])
         assert code == 2
         assert not any(tmp_path.iterdir())
@@ -467,7 +479,8 @@ class TestCli:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag, value", [("--gamma2", "0"), ("--lambda_r", "20,40"), ("--d", "inf")])
+    @pytest.mark.parametrize("flag, value", [("--gamma2", "0"), ("--lambda_r", "20,40"), ("--d", "inf"),
+                                             ("--seed", "-1"), ("--seed", str(2**64 + 1))])
     def test_bad_value_exit_code_before_any_set_up(self, tmp_path, monkeypatch, flag, value):
         # rejected before the scale calibration and before any trial
         monkeypatch.setattr(exp, "unit_weight_sigma", lambda *args: pytest.fail("the scale was calibrated"))
