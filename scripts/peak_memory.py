@@ -8,8 +8,11 @@ script sits in:
     python3 scripts/peak_memory.py
 
 For each workload at the benchmark's default seed it prints the peak of the
-campaign set-up (`_Campaign`) and of one block of trials per n, and the minor
-page faults (`getrusage`) of its second full campaign in this process, and
+campaign set-up (`_Campaign`, with the memo of the `scm` scale cleared first,
+so that the `crlb_scm` set-up still covers the streamed calibration) and of
+one block of trials per n, and the minor page faults (`getrusage`) of its
+second full campaign in this process, which reads the `scm` scale from the
+memo and so no longer includes a calibration, and
 the peak resident set (`VmHWM`, in MB of 2^20 bytes like perfbench's
 `peak_rss_mb`) of a fresh process that runs one campaign, measured twice:
 with `PYTHONDONTWRITEBYTECODE=1`, so that sources without cached bytecode
@@ -84,6 +87,7 @@ def fresh_peak_mb(config_kwargs: dict, **env) -> float:
 def main() -> int:
     for name in workloads.WORKLOADS:
         config = exp.ExperimentConfig(**workloads.config_kwargs(name, workloads.DEFAULT_SEED))
+        exp._scm_sigma.cache_clear()
         camp, peak = peak_mib(exp._Campaign, config)
         print(f"{name:12s} set-up                      {peak:7.2f}", flush=True)
         for i, n in enumerate(config.n_grid):

@@ -20,7 +20,9 @@ from .sampling import CesDistribution, RandomStream, coupled_modular_variate_chu
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
 COEFF_MIN_DRAWS = 100_000  # fewest draws `coeffs_numeric` accepts
 # Draws per streamed piece of `coeffs_numeric`. A piece's draws, its five rows of integrands and their
-# temporaries peak at about 5 MiB; twice the piece went past 8 MiB.
+# temporaries peak at about 4 MiB; twice the piece went past 8 MiB. Each piece's arrays are dropped
+# before the next is drawn: held over, they lifted the peak to 5 MiB, and the heap glibc trimmed on
+# return was faulted back in by every later call (1 184 minor faults per call at p = 20).
 _COEFF_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ def coeffs_numeric(
         comoment += X[:2] @ X.T + np.outer(delta[:2], delta) * (seen * k / (seen + k))
         mean += delta * (k / (seen + k))
         seen += k
+        del Q, gnorm2, sq, psi, X  # dropped before the next piece is drawn
     hbar = mean[:2]
     gram = comoment[:, :2] / draws
 

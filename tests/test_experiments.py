@@ -28,7 +28,7 @@ import cesevd.cli as cli
 import cesevd.estimators as estimators
 import cesevd.experiments as exp
 from cesevd.cli import build_parser, main
-from cesevd.errors import CampaignError, ConfigError, ConvergenceError
+from cesevd.errors import CalibrationError, CampaignError, ConfigError, ConvergenceError
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parents[1]
@@ -109,6 +109,16 @@ class TestConfig:
                 fast_config(seed=seed).validate()
         for seed in (0, 2**64 - 1):
             fast_config(seed=seed).validate()
+
+    @pytest.mark.parametrize("key, value", [
+        ("p", 6.0), ("n_grid", (50.0,)), ("n_grid", (50, 100.5)), ("trials", 2.0), ("seed", 1.0), ("r", 2.0),
+        ("eigvec_index", 1.0), ("threads", 1.0), ("trials", "2"),
+    ], ids=["p", "n_grid", "n_grid-last", "trials", "seed", "r", "eigvec_index", "threads", "trials-str"])
+    def test_validation_catches_non_integers(self, monkeypatch, key, value):
+        # rejected before set-up: a float count used to pass and die with a TypeError in range() or a shape
+        monkeypatch.setattr(exp, "_Campaign", lambda *args: pytest.fail("the campaign was set up"))
+        with pytest.raises(ConfigError, match=f"{key} takes integers only"):
+            run_experiment(fast_config(experiment="projector", **{key: value}))
 
     def test_config_keys_and_cli_flags_keep_their_order(self):
         keys = ("experiment", "p", "d", "rho_mod", "rho_phase", "n_grid", "trials", "seed", "estimator",
@@ -360,6 +370,7 @@ class TestScmEstimator:
     def test_setup_peak_memory(self):
         # the scale's 4M pinned draws are streamed: the one-shot sample alone took 30.5 MiB
         config = ExperimentConfig(experiment="crlb", estimator="scm", n_grid=(40,), trials=1, seed=5)
+        exp._scm_sigma.cache_clear()  # so that this set-up calibrates rather than reads the memo
         tracemalloc.start()
         try:
             exp._Campaign(config)
@@ -367,6 +378,41 @@ class TestScmEstimator:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    def test_scale_calibrated_once_per_d_and_p(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(dist, p):
+            calls.append((dist.dof, p))
+            return estimators.unit_weight_sigma(dist, p)
+
+        monkeypatch.setattr(exp, "unit_weight_sigma", counting)
+        exp._scm_sigma.cache_clear()
+        cfg = fast_config(experiment="crlb", estimator="scm", n_grid=(50,), trials=3)
+        for name in ("first.csv", "second.csv"):
+            write_csv(run_experiment(cfg), tmp_path / name)
+        assert calls == [(3.0, 6)]  # the second campaign reads the memo
+        exp._scm_sigma.cache_clear()
+        write_csv(run_experiment(cfg), tmp_path / "cleared.csv")
+        assert calls == [(3.0, 6)] * 2
+        csv = (tmp_path / "first.csv").read_bytes()
+        assert (tmp_path / "second.csv").read_bytes() == csv == (tmp_path / "cleared.csv").read_bytes()
+
+        # another d or p calibrates again
+        exp._Campaign(fast_config(experiment="crlb", estimator="scm", d=5.0))
+        exp._Campaign(fast_config(experiment="crlb", estimator="scm", p=7))
+        assert calls[2:] == [(5.0, 6), (3.0, 7)]
+
+        # a failed calibration is not remembered: the next call calibrates and fails again
+        def failing(dist, p):
+            calls.append((dist.dof, p))
+            raise CalibrationError("no root")
+
+        monkeypatch.setattr(exp, "unit_weight_sigma", failing)
+        for _ in range(2):
+            with pytest.raises(CalibrationError):
+                exp._scm_sigma(4.5, 6)
+        assert calls[4:] == [(4.5, 6)] * 2
 
     def test_no_fixed_point_solve(self, monkeypatch):
         monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("the scm estimator iterated"))
@@ -470,7 +516,8 @@ class TestCli:
         assert not any(tmp_path.iterdir())
 
     def test_scm_without_theory_exit_code(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(exp, "unit_weight_sigma", lambda *args: pytest.fail("the scale was calibrated"))
+        # the memoized entry is patched, so that a scale remembered from an earlier campaign cannot hide a set-up
+        monkeypatch.setattr(exp, "_scm_sigma", lambda *args: pytest.fail("the scale was calibrated"))
         out = tmp_path / "r.csv"
         code = main([
             "run", "--experiment", "eigenvalues", "--estimator", "scm", "--d", "4", "--p", "6",
@@ -482,8 +529,8 @@ class TestCli:
     @pytest.mark.parametrize("flag, value", [("--gamma2", "0"), ("--lambda_r", "20,40"), ("--d", "inf"),
                                              ("--seed", "-1"), ("--seed", str(2**64 + 1))])
     def test_bad_value_exit_code_before_any_set_up(self, tmp_path, monkeypatch, flag, value):
-        # rejected before the scale calibration and before any trial
-        monkeypatch.setattr(exp, "unit_weight_sigma", lambda *args: pytest.fail("the scale was calibrated"))
+        # rejected before the scale calibration (or a read of its memo) and before any trial
+        monkeypatch.setattr(exp, "_scm_sigma", lambda *args: pytest.fail("the scale was calibrated"))
         monkeypatch.setattr(exp, "sample_coupled", lambda *args: pytest.fail("a trial ran"))
         out = tmp_path / "r.csv"
         code = main([
