@@ -49,7 +49,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cesevd.experiments as exp  # noqa: E402
 from cesevd import CesDistribution, RandomStream, coeffs_numeric, gaussian_spec, student_spec  # noqa: E402
-from cesevd.estimators import unit_weight_sigma  # noqa: E402
+from cesevd.estimators import stack_size, unit_weight_sigma  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -91,7 +91,7 @@ def main() -> int:
         camp, peak = peak_mib(exp._Campaign, config)
         print(f"{name:12s} set-up                      {peak:7.2f}", flush=True)
         for i, n in enumerate(config.n_grid):
-            size = min(exp._block_trials(config.p, n), config.trials)
+            size = min(stack_size(config.p, n), config.trials)
             streams = [RandomStream(config.seed, (i << 32) | k) for k in range(size)]
             _, peak = peak_mib(camp.block, n, streams)
             print(f"{name:12s} block n={n:<5d} ({size} trials)     {peak:7.2f}", flush=True)

@@ -75,7 +75,7 @@ def _counted_campaign(config, counter: Counter) -> None:
         return dataclasses.replace(spec, u=counter.wrap(spec.u, "weights"), psi=counter.wrap(spec.psi, "psi"))
 
     patches = [
-        (exp, "_BLOCK_BYTES", 1),  # one trial per block
+        (est, "_STACK_BYTES", 1),  # one trial per block
         (exp, "fixed_point_solve_stack", counter.solve(exp.fixed_point_solve_stack)),
         (exp, "student_spec", counted_spec),
         (est, "_whiten", counter.wrap(est._whiten, "whitenings")),

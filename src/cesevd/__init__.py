@@ -2,6 +2,7 @@
 
 from .asymptotics import (
     AsymptoticCoeffs,
+    coeffs_closed_form_scm,
     coeffs_closed_form_student,
     coeffs_numeric,
     eigen_perturbation_first_order,
@@ -51,9 +52,7 @@ from .linalg import (
     HermitianMatrix,
     commutation,
     hermitian_evd,
-    kron,
     phase_align,
-    spd_function,
     toeplitz_scatter,
     vec,
 )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import CoefficientError, DegeneracyError, InputError, NumericError, SizeGuardError
 from .estimators import MEstimatorSpec
-from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, commutation, hermitian_entries, kron, vec
+from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, EvdResult, HermitianMatrix, commutation, hermitian_entries, vec
 from .sampling import CesDistribution, RandomStream, coupled_modular_variate_chunks
 
 _COEFF_STREAM = RandomStream(seed=0xC0EFF, index=0)
@@ -88,6 +88,24 @@ def coeffs_closed_form_student(p: int, d: float) -> AsymptoticCoeffs:
     return AsymptoticCoeffs.from_moments(p, a_m=moment, c_m=moment, a=moment, b=moment, c=moment)
 
 
+def coeffs_closed_form_scm(p: int, d: float) -> AsymptoticCoeffs:
+    """Exact coefficients for the SCM, scaled by sigma = (d-2)/d, on t data with d > 4 degrees of freedom.
+
+    Under Q = d ||g||^2 / u the moments are a = p (p+1) (d-2)/(d-4) and
+    b = c = p (p+1), giving theta1 = (d-2)/(d-4) and theta2 = sigma1 =
+    sigma2 = 2/(d-4): the elliptical-kurtosis result for the SCM (Ollila,
+    Tyler, Koivunen and Poor, IEEE TSP 2012).
+    """
+    if p < 1:
+        raise InputError("dimension p must be >= 1")
+    d = float(d)
+    if not d > 4:
+        raise InputError(f"the SCM's coefficients need d > 4 degrees of freedom, got d={d:g}")
+    bc = float(p * (p + 1))
+    a = bc * (d - 2) / (d - 4)
+    return AsymptoticCoeffs.from_moments(p, a_m=a, c_m=bc, a=a, b=bc, c=bc)
+
+
 def coeffs_numeric(
     spec: MEstimatorSpec,
     dist: CesDistribution,
@@ -146,7 +164,7 @@ def _scatter_cov_pair(S: np.ndarray, k1: float, k2: float) -> tuple[np.ndarray, 
         raise SizeGuardError(f"full p^2 x p^2 assembly limited to p <= {P2_MATRIX_MAX_DIM}, got {p}")
     v = vec(S)
     K = commutation(p)
-    base = kron(S.T, S)
+    base = np.kron(S.T, S)
     C = k1 * base + k2 * np.outer(v, v.conj())
     P = k1 * base @ K + k2 * np.outer(v, v)
     return C, P
@@ -246,6 +264,7 @@ def eigen_perturbation_first_order(evd: EvdResult, Delta) -> tuple[np.ndarray, n
 __all__ = [
     "AsymptoticCoeffs",
     "coeffs_closed_form_student",
+    "coeffs_closed_form_scm",
     "coeffs_numeric",
     "scatter_cov",
     "gcwe_scatter_cov",

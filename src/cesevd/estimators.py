@@ -19,9 +19,12 @@ _CALIBRATION_STREAM = RandomStream(seed=0x5CA1E, index=0)
 _ANDERSON_MEMORY = 3
 # Newton's method on the trial weights solves samples with n <= _NEWTON_RATIO * p (see
 # `fixed_point_solve_stack`). Above that its n x n systems cost more than the sweeps they save:
-# at p = 20, in the blocks `experiments._block_trials` sizes, a solve took 0.40 / 0.78 / 0.93
+# at p = 20, in stacks of `stack_size`, a solve took 0.40 / 0.78 / 0.93
 # of the Anderson sweeps' time at n = 40 / 62 / 80, and 1.3 / 1.2 at n = 88 / 95.
 _NEWTON_RATIO = 4
+# Working set of one Newton stack; see `stack_size`. Larger stacks solve faster but raise peak
+# memory: 640 KiB adds about 0.7 MB to an eig_small_n campaign.
+_STACK_BYTES = 640 << 10
 # Whitenings a Newton solve may take before its sample goes to the Anderson sweeps.
 _NEWTON_STEPS = 16
 # A Newton iterate forms its plain image for certification only once max|F| / max(w) is at most
@@ -326,6 +329,23 @@ def _uses_newton(p: int, n: int) -> bool:
     return n <= _NEWTON_RATIO * p
 
 
+def stack_size(p: int, n: int) -> int:
+    """Samples per stack at p x n: one above Newton's crossover, else as many as fit in _STACK_BYTES.
+
+    The Anderson sweeps solve one sample at a time, so only Newton's method
+    gains from a stack. A Newton member holds two n x n arrays, the complex
+    Gram matrix of its whitened sample and the real Jacobian (24 n^2 bytes),
+    six p x p complex arrays for its iterates and about five p x n complex
+    arrays: its sample, its row of the stack (copied again when a stack-mate
+    finishes and the stack is compacted) and the step temporaries. At p = 20
+    that gives 4 and 2 samples at n = 40 and 62.
+    """
+    if not _uses_newton(p, n):
+        return 1
+    member = 24 * n * n + 16 * p * (6 * p + 5 * n)
+    return max(1, _STACK_BYTES // member)
+
+
 def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> list:
     """`fixed_point_solve` of every sample of a stack.
 
@@ -480,8 +500,9 @@ def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None
 
     Either method returns once the plain (unrecalibrated) fixed-point
     residual of the iterate is at or below `opts.tol`, and `opts.max_iter`
-    bounds the whitenings of each. The unit weight reaches the sample
-    covariance after one sweep and returns it, bitwise equal to `scm`.
+    bounds the whitenings of each. The unit weight's first image is the
+    sample covariance, which its second whitening certifies: it returns
+    that, bitwise equal to `scm`.
 
     For n > 4p (`_NEWTON_RATIO`), each sweep whitens the samples with the
     Cholesky factor of the iterate (t_i = ||L^{-1} z_i||^2), recalibrates the
@@ -589,5 +610,6 @@ __all__ = [
     "fixed_point_solve",
     "fixed_point_solve_stack",
     "solve_sigma",
+    "stack_size",
     "unit_weight_sigma",
 ]

@@ -25,20 +25,21 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .asymptotics import (
+    coeffs_closed_form_scm,
     coeffs_closed_form_student,
-    coeffs_numeric,
+    coeffs_numeric,  # not called here: kept because perfbench's tracer swaps this name on the module
     eigenvalue_cov_trace,
     eigenvector_cov_xi_trace,
 )
 from .errors import CampaignError, CesEvdError, ConfigError, DegeneracyError, NumericError
 from .estimators import (
-    _uses_newton,
     SolverOptions,
     fixed_point_solve,  # not called here: kept because perfbench's tracer swaps this name on the module
     fixed_point_solve_stack,
     gaussian_spec,
     scm,
     solve_sigma,  # not called here: kept because perfbench's tracer swaps this name on the module
+    stack_size,
     student_spec,
     unit_weight_sigma,
 )
@@ -59,16 +60,11 @@ ESTIMATORS = ("student", "scm")
 # Reserved stream indices, disjoint from per-trial indices (n_idx << 32 | trial).
 _MODEL_STREAM = (1 << 62) + 1
 _STEER_STREAM = (1 << 62) + 2
-_COEFF_STREAM = (1 << 62) + 3
 
 # Metadata keys never written to CSV so identical configs give identical bytes.
 _VOLATILE_METADATA = ("wall_time_s",)
 
 _DEFAULT_N_GRID = (40, 62, 95, 147, 228, 352, 543, 838, 1295, 2000)
-
-# Working set of one Newton block of trials solved together; see `_block_trials`. Larger blocks
-# solve faster but raise peak memory: 640 KiB adds about 0.7 MB to an eig_small_n campaign.
-_BLOCK_BYTES = 640 << 10
 
 # The campaigns' solver budget: twice the public default, from the SCM start. A trial that needs
 # more than 200 sweeps (a few do near n = p) still gets its estimate.
@@ -157,23 +153,6 @@ def _db(x: float) -> float:
     return 10.0 * math.log10(x)
 
 
-def _block_trials(p: int, n: int) -> int:
-    """Trials per block at sample size n: one above Newton's crossover, else as many as fit in _BLOCK_BYTES.
-
-    The Anderson sweeps solve one sample at a time, so only Newton's method
-    gains from a block. A Newton member holds two n x n arrays, the complex
-    Gram matrix of its whitened sample and the real Jacobian (24 n^2 bytes),
-    six p x p complex arrays for its iterates and about five p x n complex
-    arrays: its coupled sample, its row of the stack (copied again when a
-    stack-mate finishes and the stack is compacted) and the step temporaries.
-    At p = 20 that gives 4 and 2 trials at n = 40 and 62.
-    """
-    if not _uses_newton(p, n):
-        return 1
-    member = 24 * n * n + 16 * p * (6 * p + 5 * n)
-    return max(1, _BLOCK_BYTES // member)
-
-
 def _or_error(fn, *args):
     """fn(*args), or the NumericError it raises."""
     try:
@@ -230,7 +209,7 @@ class _Campaign:
             if config.estimator == "student":
                 co = coeffs_closed_form_student(p, config.d)
             else:
-                co = coeffs_numeric(self.spec, self.dist, p, stream=RandomStream(config.seed, _COEFF_STREAM))
+                co = coeffs_closed_form_scm(p, config.d)
             self.coeffs = co
             self.metadata.update(theta1=co.theta1, theta2=co.theta2, sigma1=co.sigma1, sigma2=co.sigma2)
 
@@ -414,7 +393,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     excluded: dict[int, int] = {}
 
     for i, n in enumerate(config.n_grid):
-        size = _block_trials(config.p, n)
+        size = stack_size(config.p, n)
         streams = [RandomStream(config.seed, (i << 32) | k) for k in range(config.trials)]
         results = [res for k in range(0, config.trials, size) for res in camp.block(n, streams[k:k + size])]
         bad = 0

@@ -1,4 +1,4 @@
-"""Complex Hermitian primitives: canonical EVD, Toeplitz scatter, vec/kron machinery.
+"""Complex Hermitian primitives: canonical EVD, Toeplitz scatter, vec and the commutation matrix.
 
 Everything here is pure and allocation-only; matrices are immutable after
 construction and safe to share across threads, so a matrix's eigendecomposition
@@ -12,13 +12,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, SizeGuardError
+from .errors import InputError, NumericError, SizeGuardError
 
 # Largest p for which an explicit p^2 x p^2 matrix (commutation matrix, full covariance)
 # is assembled; such matrices grow as p^4, so anything larger is a bug.
 P2_MATRIX_MAX_DIM = 8
 # Relative eigenvalue gap (a multiple of lambda_1) below which eigenvalues count as degenerate.
 GAP_RTOL = 1e-10
+# Relative asymmetry ||M - M^H|| / ||M|| that `HermitianMatrix.from_array` averages away; beyond it, it rejects M.
+ASYM_RTOL = 1e-10
 
 
 def _as_square_complex(values) -> np.ndarray:
@@ -50,20 +52,16 @@ class HermitianMatrix:
         object.__setattr__(self, "entries", M)
 
     @classmethod
-    def from_array(cls, values, rtol: float = 1e-10) -> "HermitianMatrix":
-        """Average away floating-point asymmetry, rejecting anything beyond rtol."""
+    def from_array(cls, values) -> "HermitianMatrix":
+        """Average away floating-point asymmetry, rejecting anything beyond ASYM_RTOL."""
         M = _as_square_complex(values)
         if not np.all(np.isfinite(M)):
             raise InputError("matrix entries must be finite")
         scale = np.linalg.norm(M)
         asym = np.linalg.norm(M - M.conj().T)
-        if scale > 0 and asym > rtol * scale:
+        if scale > 0 and asym > ASYM_RTOL * scale:
             raise InputError(f"matrix is not Hermitian: relative asymmetry {asym / scale:.3e}")
         return cls((M + M.conj().T) / 2)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.entries, dtype=dtype)
@@ -178,13 +176,8 @@ def toeplitz_scatter(p: int, rho: complex) -> HermitianMatrix:
 
 
 def vec(M) -> np.ndarray:
-    """Column-stacking vectorization."""
+    """Column-stacking vectorization, so that np.kron(A.T, B) @ vec(S) == vec(B @ S @ A)."""
     return np.asarray(M, dtype=complex).reshape(-1, order="F")
-
-
-def kron(A, B) -> np.ndarray:
-    """Kronecker product (consistent with the column-stacking `vec`)."""
-    return np.kron(np.asarray(A), np.asarray(B))
 
 
 def commutation(p: int) -> np.ndarray:
@@ -198,21 +191,3 @@ def commutation(p: int) -> np.ndarray:
     # vec(A) index of A[r, c] is r + c*p; vec(A^T) index is c + r*p.
     K[r + c * p, c + r * p] = 1.0
     return K
-
-
-def spd_function(M, f) -> HermitianMatrix:
-    """Apply a scalar function to the spectrum: U diag(f(lam)) U^H.
-
-    Functions that require positive eigenvalues (log, sqrt, inverse powers)
-    raise DomainError on inputs that are not positive definite; functions
-    defined on the whole real line (e.g. exp) accept any Hermitian input.
-    """
-    evd = hermitian_evd(M)
-    with np.errstate(all="ignore"):
-        w = np.asarray(f(evd.eigenvalues), dtype=float)
-    if w.shape != evd.eigenvalues.shape:
-        raise InputError("spectral function must map the eigenvalue vector elementwise")
-    if not np.all(np.isfinite(w)):
-        raise DomainError("spectral function undefined on the spectrum (matrix not positive definite?)")
-    U = evd.eigenvectors
-    return HermitianMatrix.from_array((U * w) @ U.conj().T)

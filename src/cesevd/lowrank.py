@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, DegenerateFilterError, InputError, SizeGuardError
-from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, HermitianMatrix, hermitian_entries, hermitian_evd, kron
+from .linalg import GAP_RTOL, P2_MATRIX_MAX_DIM, HermitianMatrix, hermitian_entries, hermitian_evd
 from .sampling import RandomStream
 
 # Advisory clutter-to-noise separation below which the asymptotics get strained.
@@ -104,7 +104,7 @@ def projector_cov_sigma_pi(model: FactorModel, full: bool = False):
         raise SizeGuardError(f"full assembly limited to p <= {P2_MATRIX_MAX_DIM}, got {model.p}")
     A = (model.Ur * (model.gamma2 / mu**2 + 1.0 / mu)) @ model.Ur.conj().T
     B = model.gamma2 * model.projector_perp.entries
-    return kron(A.T, B) + kron(B.T, A)
+    return np.kron(A.T, B) + np.kron(B.T, A)
 
 
 def projector_perturbation_first_order(model: FactorModel, Delta) -> HermitianMatrix:

@@ -18,10 +18,6 @@ from .sampling import CesDistribution, RandomStream, modular_variate_sample
 
 _ALPHA_STREAM = RandomStream(seed=0xA1FA, index=0)
 
-BIASED_GAUSSIAN_CRLB = "biased_gaussian_crlb"
-UNBIASED_CES_CRLB = "unbiased_ces_crlb"
-APPROX_BIASED_CES_CRLB = "approx_biased_ces_crlb"
-
 
 @dataclass(frozen=True)
 class IntrinsicBound:
@@ -31,7 +27,6 @@ class IntrinsicBound:
     bounds sharing a prefix of components are exact term differences.
     """
 
-    kind: str
     components: dict[str, float]
     value: float = field(init=False)
 
@@ -139,10 +134,7 @@ def eta(p: int, n: int) -> float:
 def biased_crlb_scm(p: int, n: int) -> IntrinsicBound:
     """Gaussian-case bound on expected squared distance for the (biased) SCM."""
     e = eta(p, n)
-    return IntrinsicBound(
-        kind=BIASED_GAUSSIAN_CRLB,
-        components={"fisher": p**2 / n, "intrinsic_bias": p * e**2},
-    )
+    return IntrinsicBound({"fisher": p**2 / n, "intrinsic_bias": p * e**2})
 
 
 def alpha_beta(
@@ -186,7 +178,7 @@ def _ces_components(p: int, n: int, alpha: float, beta: float) -> dict[str, floa
 
 def ces_crb(p: int, n: int, alpha: float, beta: float) -> IntrinsicBound:
     """Unbiased-estimator bound for CES samples."""
-    return IntrinsicBound(kind=UNBIASED_CES_CRLB, components=_ces_components(p, n, alpha, beta))
+    return IntrinsicBound(_ces_components(p, n, alpha, beta))
 
 
 def ab_crlb(p: int, n: int, alpha: float, beta: float) -> IntrinsicBound:
@@ -197,14 +189,11 @@ def ab_crlb(p: int, n: int, alpha: float, beta: float) -> IntrinsicBound:
     """
     comps = _ces_components(p, n, alpha, beta)
     comps["intrinsic_bias"] = p * eta(p, n) ** 2
-    return IntrinsicBound(kind=APPROX_BIASED_CES_CRLB, components=comps)
+    return IntrinsicBound(comps)
 
 
 __all__ = [
     "IntrinsicBound",
-    "BIASED_GAUSSIAN_CRLB",
-    "UNBIASED_CES_CRLB",
-    "APPROX_BIASED_CES_CRLB",
     "whitened_spectrum",
     "nat_distance",
     "riemannian_logmap",

@@ -39,8 +39,8 @@ class RandomStream:
     """Counter-based Philox stream: a pure function of (seed, index).
 
     Distinct indices give statistically independent streams, so trial k of a
-    campaign can draw from ``stream.child(k)`` in any order, on any thread,
-    and reproduce bit-identical samples.
+    campaign can draw from ``RandomStream(seed, k)`` in any order, on any
+    thread, and reproduce bit-identical samples.
     """
 
     seed: int
@@ -49,9 +49,6 @@ class RandomStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.index & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def child(self, index: int) -> "RandomStream":
-        return RandomStream(self.seed, index)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from cesevd import (
     AsymptoticCoeffs,
     CesDistribution,
     RandomStream,
+    coeffs_closed_form_scm,
     coeffs_closed_form_student,
     coeffs_numeric,
     commutation,
@@ -18,7 +19,6 @@ from cesevd import (
     gaussian_spec,
     gcwe_scatter_cov,
     hermitian_evd,
-    kron,
     scatter_cov,
     student_spec,
     toeplitz_scatter,
@@ -71,6 +71,30 @@ class TestClosedFormStudent:
         with pytest.raises(CoefficientError):
             AsymptoticCoeffs(p=4, a_m=1, c_m=1, a=1, b=1, c=1,
                              theta1=-1.0, theta2=0.0, sigma1=0.0, sigma2=0.0)
+
+
+class TestClosedFormScm:
+    def test_closed_formulas(self):
+        for p, d in ((20, 5.0), (6, 6.0), (3, 20.0)):
+            co = coeffs_closed_form_scm(p, d)
+            assert co.theta1 == pytest.approx((d - 2) / (d - 4), rel=1e-14)
+            for value in (co.theta2, co.sigma1, co.sigma2):
+                assert value == pytest.approx(2 / (d - 4), rel=1e-13)
+
+    @pytest.mark.parametrize("d, rtol_theta1, rtol_rest", [(8.0, 0.01, 0.03), (20.0, 0.002, 0.01)])
+    def test_matches_numeric(self, d, rtol_theta1, rtol_rest):
+        # tolerances are at least 3 standard deviations of coeffs_numeric over 8 streams of 1e6 draws
+        # (theta1 / the rest: 0.29 % / 0.86 % at d = 8, 0.04 % / 0.34 % at d = 20)
+        spec = gaussian_spec().with_sigma((d - 2) / d)
+        numeric = coeffs_numeric(spec, CesDistribution.student_t(d), 20)
+        exact = coeffs_closed_form_scm(20, d)
+        assert numeric.theta1 == pytest.approx(exact.theta1, rel=rtol_theta1)
+        for name in ("theta2", "sigma1", "sigma2"):
+            assert getattr(numeric, name) == pytest.approx(getattr(exact, name), rel=rtol_rest)
+
+    def test_needs_finite_fourth_moment(self):
+        with pytest.raises(InputError):
+            coeffs_closed_form_scm(20, 4.0)
 
 
 class TestNumericCoeffs:
@@ -149,7 +173,7 @@ class TestScatterCov:
         Ct, Pt = gcwe_scatter_cov(S, co)
         v = vec(S.entries)
         K = commutation(3)
-        base = kron(S.entries.T, S.entries)
+        base = np.kron(S.entries.T, S.entries)
         np.testing.assert_allclose(C, co.theta1 * base + co.theta2 * np.outer(v, v.conj()), atol=1e-12)
         np.testing.assert_allclose(P, co.theta1 * base @ K + co.theta2 * np.outer(v, v), atol=1e-12)
         np.testing.assert_allclose(Ct, co.sigma1 * base + co.sigma2 * np.outer(v, v.conj()), atol=1e-12)

@@ -177,16 +177,16 @@ class TestDeterminism:
 
     def test_block_size_does_not_change_csv_bytes(self, tmp_path, monkeypatch):
         cfg = fast_config(n_grid=NEWTON_GRID, trials=40)
-        assert exp._block_trials(cfg.p, 20) < cfg.trials < 2 * exp._block_trials(cfg.p, 12)
+        assert estimators.stack_size(cfg.p, 20) < cfg.trials < 2 * estimators.stack_size(cfg.p, 12)
         write_csv(run_experiment(cfg), tmp_path / "blocked.csv")
-        monkeypatch.setattr(exp, "_BLOCK_BYTES", 1)  # one trial per block
+        monkeypatch.setattr(estimators, "_STACK_BYTES", 1)  # one trial per block
         write_csv(run_experiment(cfg), tmp_path / "single.csv")
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
 
     def test_block_sizes_fit_the_working_set(self):
         # several trials only where Newton's method solves the block as a stack (n <= 4p)
-        assert [exp._block_trials(20, n) for n in (40, 62, 80, 81, 95, 147, 2000)] == [4, 2, 2, 1, 1, 1, 1]
-        assert [exp._block_trials(6, n) for n in NEWTON_GRID] == [51, 28]
+        assert [estimators.stack_size(20, n) for n in (40, 62, 80, 81, 95, 147, 2000)] == [4, 2, 2, 1, 1, 1, 1]
+        assert [estimators.stack_size(6, n) for n in NEWTON_GRID] == [51, 28]
 
     def test_seed_changes_results(self):
         r1 = run_experiment(fast_config())
@@ -414,6 +414,13 @@ class TestScmEstimator:
                 exp._scm_sigma(4.5, 6)
         assert calls[4:] == [(4.5, 6)] * 2
 
+    @pytest.mark.parametrize("experiment", ["eigenvectors", "projector"])
+    def test_theory_offset_is_exact(self, experiment):
+        # both theory columns are linear in their first coefficient: theta1 / sigma1 = (d - 2) / 2
+        res = run_experiment(fast_config(experiment=experiment, estimator="scm", d=7.0, trials=2))
+        offsets = [row[2] - row[4] for row in res.rows]
+        assert offsets == pytest.approx([10 * math.log10(2.5)] * len(res.rows), abs=1e-12)
+
     def test_no_fixed_point_solve(self, monkeypatch):
         monkeypatch.setattr(exp, "fixed_point_solve", lambda *args: pytest.fail("the scm estimator iterated"))
         monkeypatch.setattr(exp, "fixed_point_solve_stack", lambda *args: pytest.fail("the scm estimator iterated"))
@@ -435,7 +442,7 @@ class TestStudentEstimator:
         cfg = fast_config(experiment="crlb", n_grid=NEWTON_GRID, trials=30)
         res = run_experiment(cfg)
         assert res.metadata["excluded"] == "none"
-        sizes = [exp._block_trials(cfg.p, n) for n in cfg.n_grid]
+        sizes = [estimators.stack_size(cfg.p, n) for n in cfg.n_grid]
         assert len(calls) == sum(-(-cfg.trials // size) for size in sizes) > len(cfg.n_grid)
 
 

@@ -6,20 +6,16 @@ from cesevd import (
     HermitianMatrix,
     commutation,
     hermitian_evd,
-    kron,
     phase_align,
-    spd_function,
     toeplitz_scatter,
     vec,
 )
-from cesevd.errors import DomainError, InputError, SizeGuardError
+from cesevd.errors import InputError, SizeGuardError
 from cesevd.linalg import hermitian_eigh
 
 
-def random_hermitian(rng, p, pd=False):
+def random_hermitian(rng, p):
     A = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-    if pd:
-        return HermitianMatrix.from_array(A @ A.conj().T + 0.1 * np.eye(p))
     return HermitianMatrix.from_array((A + A.conj().T) / 2)
 
 
@@ -209,13 +205,10 @@ class TestVecKronCommutation:
         A = np.array([[1.0, 2.0], [3.0, 4.0]])
         np.testing.assert_array_equal(commutation(2) @ vec(A), [1, 2, 3, 4])
 
-    def test_kron_identity(self):
-        np.testing.assert_array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
-
     def test_kron_vec_identity(self):
         rng = np.random.default_rng(11)
         A, B, S = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in range(3))
-        np.testing.assert_allclose(kron(A.T, B) @ vec(S), vec(B @ S @ A), atol=1e-12)
+        np.testing.assert_allclose(np.kron(A.T, B) @ vec(S), vec(B @ S @ A), atol=1e-12)
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_commutation_is_permutation_involution(self, p):
@@ -228,34 +221,3 @@ class TestVecKronCommutation:
     def test_commutation_size_guard(self):
         with pytest.raises(SizeGuardError):
             commutation(9)
-
-
-class TestSpdFunction:
-    def test_log_of_identity(self):
-        np.testing.assert_allclose(spd_function(np.eye(3), np.log).entries, np.zeros((3, 3)), atol=1e-14)
-
-    def test_sqrt_of_diagonal(self):
-        out = spd_function(np.diag([4.0, 9.0]), np.sqrt)
-        np.testing.assert_allclose(out.entries, np.diag([2.0, 3.0]), atol=1e-14)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(2, 7), st.integers(0, 10**6))
-    def test_log_exp_round_trip(self, p, seed):
-        M = random_hermitian(np.random.default_rng(seed), p, pd=True)
-        back = spd_function(spd_function(M, np.log), np.exp)
-        assert np.linalg.norm(back.entries - M.entries) / np.linalg.norm(M.entries) < 1e-10
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(2, 7), st.integers(0, 10**6))
-    def test_identity_function(self, p, seed):
-        M = random_hermitian(np.random.default_rng(seed), p, pd=True)
-        out = spd_function(M, lambda x: x)
-        assert np.linalg.norm(out.entries - M.entries) < 1e-12 * np.linalg.norm(M.entries)
-
-    def test_log_rejects_indefinite(self):
-        with pytest.raises(DomainError):
-            spd_function(np.diag([1.0, -1.0]), np.log)
-
-    def test_inverse_sqrt_rejects_singular(self):
-        with pytest.raises(DomainError):
-            spd_function(np.diag([1.0, 0.0]), lambda x: 1 / np.sqrt(x))

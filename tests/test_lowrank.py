@@ -6,7 +6,6 @@ from cesevd import (
     HermitianMatrix,
     build_factor_model,
     hermitian_evd,
-    kron,
     principal_projector,
     projector_cov_sigma_pi,
     projector_perturbation_first_order,
@@ -14,7 +13,7 @@ from cesevd import (
     snr_loss_theory,
     steering_vector,
 )
-from cesevd.errors import DegeneracyError, InputError, SizeGuardError
+from cesevd.errors import DegeneracyError, DegenerateFilterError, InputError, SizeGuardError
 from cesevd.sampling import RandomStream
 
 
@@ -123,7 +122,7 @@ class TestProjectorCov:
         A = (model.Ur * (model.gamma2 / mu**2 + 1 / mu)) @ model.Ur.conj().T
         B = model.gamma2 * model.projector_perp.entries
         np.testing.assert_allclose(
-            projector_cov_sigma_pi(model, full=True), kron(A.T, B) + kron(B.T, A), atol=1e-12
+            projector_cov_sigma_pi(model, full=True), np.kron(A.T, B) + np.kron(B.T, A), atol=1e-12
         )
 
     def test_size_guard(self):
@@ -188,6 +187,13 @@ class TestSnrLoss:
         perp = np.eye(6) - principal_projector(noisy, 2).entries
         rho = snr_loss(perp, model, steer)
         assert 0.0 < rho <= 1.0 + 1e-12
+
+    def test_zero_projector_rejected(self):
+        # the filter passes nothing, so its output power is 0 and the loss is 0/0
+        model = random_model(np.random.default_rng(12), 8, 3)
+        steer = steering_vector(model, RandomStream(1, 0))
+        with pytest.raises(DegenerateFilterError):
+            snr_loss(np.zeros((8, 8)), model, steer)
 
     def test_theory_values(self):
         assert 10 * np.log10(snr_loss_theory(5, 2000)) == pytest.approx(-0.010871, abs=1e-5)

@@ -38,10 +38,6 @@ class TestRandomStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_child_changes_index_only(self):
-        s = RandomStream(7, 0)
-        assert s.child(3) == RandomStream(7, 3)
-
 
 class TestSampleCoupled:
     def test_gaussian_core_equals_sample(self):
