@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the tracemalloc peaks (MiB) of the perfbench workloads' set-up and trial blocks, and of `coeffs_numeric`,
-each workload's minor page faults in a repeated campaign, and its fresh-process peak resident set.
+each workload's minor page faults in a repeated campaign, its fresh-process peak resident set, and the peak
+resident set of a benchmark-like process phase by phase.
 
 Run from any directory; it measures the `cesevd` source of the checkout this
 script sits in:
@@ -23,8 +24,16 @@ compiles and the checkout's path (a reworded comment or another directory
 name can move it by a few tenths of a MB), the second does not follow the
 source bytes; a rise in both is a rise in what the campaign holds. The first
 compiles `cesevd` only if the checkout holds no `__pycache__` for it, as a
-fresh checkout does. Then it prints the peak of `coeffs_numeric` at its
-default 1e6 draws for the Student weight and for the unit weight.
+fresh checkout does. Last for each workload, a fresh process goes through
+the phases of a perfbench run in order, at the held-out seed (424242) that
+gains are quoted at, and prints its `VmHWM` (MiB) after each: the imports
+of `perfbench/run.py`; the reference campaign at the default seed, with
+`eig_small_n`'s `threads=2` repeat; `checks.solver_contract`; one timed
+campaign. perfbench's `peak_rss_mb` carries this process's high-water mark
+into its probe, so the phase at which the trace stops rising is the one it
+reports. perfbench's modules are imported, not changed. Then it prints the
+peak of `coeffs_numeric` at its default 1e6 draws for the Student weight
+and for the unit weight.
 tracemalloc counts what Python and numpy allocate, so these peaks do not
 depend on the allocator's state or on what the process ran before, as a
 resident-set peak does. The faults do: a campaign that takes tens of
@@ -76,6 +85,44 @@ with open("/proc/self/status") as fh:
 """
 
 
+# The phases of a perfbench run in a fresh process: argv is the perfbench directory, the workload and the seed.
+# It prints VmHWM in kB after the imports, the reference campaigns, the solver-contract check and a timed campaign.
+PHASE_PROBE = """\
+import os, sys, tempfile
+
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+
+sys.path.insert(0, sys.argv[1])
+import cesevd, workloads, bench, checks
+from cesevd import ExperimentConfig, run_experiment, write_csv
+peaks = [hwm()]
+name, seed = sys.argv[2], int(sys.argv[3])
+cfg = workloads.config_kwargs(name, seed)
+ref = workloads.config_kwargs(name, workloads.DEFAULT_SEED)
+with tempfile.TemporaryDirectory() as work:
+    csv = os.path.join(work, "campaign.csv")
+    write_csv(run_experiment(ExperimentConfig(**ref)), csv)
+    if name in bench.THREAD_CHECK:
+        write_csv(run_experiment(ExperimentConfig(**dict(ref, threads=2))), csv)
+    peaks.append(hwm())
+    checks.solver_contract(cfg, bench.CONTRACT_TRIALS)
+    peaks.append(hwm())
+    write_csv(run_experiment(ExperimentConfig(**cfg)), csv)
+    peaks.append(hwm())
+print(*peaks)
+"""
+
+
+def phase_peaks_mib(name: str, seed: int) -> list[float]:
+    """VmHWM in MiB of a fresh process after each phase of a perfbench run of workload `name` at `seed`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [sys.executable, "-c", PHASE_PROBE, str(ROOT / "perfbench"), name, str(seed)]
+    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True, check=True)
+    return [int(kb) / 1024 for kb in proc.stdout.split()]
+
+
 def fresh_peak_mb(config_kwargs: dict, **env) -> float:
     """VmHWM in MB of a fresh process that runs one campaign of `config_kwargs` under the extra `env`."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env)
@@ -107,6 +154,8 @@ def main() -> int:
             cached = fresh_peak_mb(kwargs, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="")
         print(f"{name:12s} fresh-process peak, no cached bytecode   {uncached:7.2f} MB", flush=True)
         print(f"{name:12s} fresh-process peak, cached bytecode      {cached:7.2f} MB", flush=True)
+        peaks = " -> ".join(f"{v:.1f}" for v in phase_peaks_mib(name, workloads.HELD_OUT_SEED))
+        print(f"{name:12s} benchmark-process peak by phase          {peaks} MiB", flush=True)
     p, d = 20, 3.0
     _, peak = peak_mib(coeffs_numeric, student_spec(p, d), CesDistribution.student_t(d), p)
     print(f"coeffs_numeric student p={p} d={d:g}        {peak:7.2f}")

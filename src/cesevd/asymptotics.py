@@ -29,14 +29,12 @@ _COEFF_CHUNK = 1 << 15
 class AsymptoticCoeffs:
     """Moment pieces and the coefficient pairs they induce.
 
-    a_m, c_m drive the standard-regime pair (theta1, theta2); a, b, c drive the
-    core-equivalent pair (sigma1, sigma2). Both pairs are always derived from
-    the stored moments, so the assembly identities hold by construction.
+    a and c drive the standard-regime pair (theta1, theta2); a, b and c drive
+    the core-equivalent pair (sigma1, sigma2). Both pairs are always derived
+    from the stored moments, so the assembly identities hold by construction.
     """
 
     p: int
-    a_m: float
-    c_m: float
     a: float
     b: float
     c: float
@@ -53,29 +51,26 @@ class AsymptoticCoeffs:
             raise CoefficientError(f"theta2 = {self.theta2} violates theta2 > -theta1/p")
         if self.sigma1 < 0:
             raise CoefficientError(f"sigma1 must be nonnegative, got {self.sigma1}")
-        if abs(self.theta1 - self.a_m * p * (p + 1) / self.c_m**2) > 1e-12 * max(1.0, self.theta1):
+        if abs(self.theta1 - self.a * p * (p + 1) / self.c**2) > 1e-12 * max(1.0, self.theta1):
             raise CoefficientError("theta1 inconsistent with its moment pieces")
 
     @classmethod
-    def from_moments(cls, p: int, a_m: float, c_m: float, a: float, b: float, c: float) -> "AsymptoticCoeffs":
-        theta1 = a_m * p * (p + 1) / c_m**2
-        theta2 = (a_m - p**2) / (c_m - p**2) ** 2 - a_m * (p + 1) / c_m**2
+    def from_moments(cls, p: int, a: float, b: float, c: float) -> "AsymptoticCoeffs":
+        theta1 = a * p * (p + 1) / c**2
+        theta2 = (a - p**2) / (c - p**2) ** 2 - a * (p + 1) / c**2
         sigma1 = (a * p * (p + 1) + c * (c - 2 * b)) / c**2
         sigma2 = (
             (a - p**2) / (c - p**2) ** 2
             - a * (p + 1) / c**2
             + 2 * p * (c - b) / (c * (c - p**2))
         )
-        return cls(
-            p=p, a_m=a_m, c_m=c_m, a=a, b=b, c=c,
-            theta1=theta1, theta2=theta2, sigma1=sigma1, sigma2=sigma2,
-        )
+        return cls(p=p, a=a, b=b, c=c, theta1=theta1, theta2=theta2, sigma1=sigma1, sigma2=sigma2)
 
 
 def coeffs_closed_form_student(p: int, d: float) -> AsymptoticCoeffs:
     """Exact coefficients for the Student MLE weight on matched t data.
 
-    With m = p + d/2 all five moment pieces coincide at m p (p+1) / (m+1),
+    With m = p + d/2 the three moments a, b and c coincide at m p (p+1) / (m+1),
     giving theta1 = (m+1)/m, theta2 = sigma2 = (2/d)(m+1)/m and sigma1 = 1/m.
     """
     if p < 1:
@@ -85,7 +80,7 @@ def coeffs_closed_form_student(p: int, d: float) -> AsymptoticCoeffs:
         raise InputError("degrees of freedom d must be > 0")
     m = p + d / 2
     moment = m * p * (p + 1) / (m + 1)
-    return AsymptoticCoeffs.from_moments(p, a_m=moment, c_m=moment, a=moment, b=moment, c=moment)
+    return AsymptoticCoeffs.from_moments(p, a=moment, b=moment, c=moment)
 
 
 def coeffs_closed_form_scm(p: int, d: float) -> AsymptoticCoeffs:
@@ -103,7 +98,7 @@ def coeffs_closed_form_scm(p: int, d: float) -> AsymptoticCoeffs:
         raise InputError(f"the SCM's coefficients need d > 4 degrees of freedom, got d={d:g}")
     bc = float(p * (p + 1))
     a = bc * (d - 2) / (d - 4)
-    return AsymptoticCoeffs.from_moments(p, a_m=a, c_m=bc, a=a, b=bc, c=bc)
+    return AsymptoticCoeffs.from_moments(p, a=a, b=bc, c=bc)
 
 
 def coeffs_numeric(
@@ -155,7 +150,7 @@ def coeffs_numeric(
     c = cv_mean(4) + p**2
     if not all(np.isfinite(v) for v in (a, b, c)):
         raise NumericError("non-finite moment estimate; check the weight/distribution pairing")
-    return AsymptoticCoeffs.from_moments(p, a_m=a, c_m=c, a=a, b=b, c=c)
+    return AsymptoticCoeffs.from_moments(p, a=a, b=b, c=c)
 
 
 def _scatter_cov_pair(S: np.ndarray, k1: float, k2: float) -> tuple[np.ndarray, np.ndarray]:

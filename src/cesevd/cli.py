@@ -1,6 +1,7 @@
 """Command line interface: `ces-evd run | coeffs | version`.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 on campaign errors.
+Exit codes: 0 on success, 2 on configuration errors, 3 on campaign errors,
+1 on any other library error (such as a failed scale calibration).
 """
 
 from __future__ import annotations

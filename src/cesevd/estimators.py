@@ -34,6 +34,9 @@ _NEWTON_STEPS = 16
 _NEWTON_GATE = 1e4
 # Newton/bisection steps allowed for the scale root.
 _SCALE_MAX_STEPS = 60
+# The scale root returns y once |sum(psi(t*y)) - n p| is at most _SCALE_RTOL * n p. `unit_weight_sigma`
+# ends on the same test, which keeps its sigma bitwise equal to `solve_sigma`'s.
+_SCALE_RTOL = 1e-13
 # Entries per streamed piece of the scale root's sums: 512 KiB of float64.
 _SCALE_CHUNK = 1 << 16
 # The scale root is searched in [1/_SCALE_LIMIT, _SCALE_LIMIT]. A bounded psi whose sup lies
@@ -53,7 +56,6 @@ class MEstimatorSpec:
     Sigma once sigma solves the scale equation for the sampling distribution.
     """
 
-    name: str
     u: Callable[[np.ndarray], np.ndarray]
     psi: Callable[[np.ndarray], np.ndarray]
     psi_prime: Callable[[np.ndarray], np.ndarray]
@@ -81,7 +83,6 @@ class SolverOptions:
 def gaussian_spec() -> MEstimatorSpec:
     """Constant unit weight: the fixed point is exactly the sample covariance."""
     return MEstimatorSpec(
-        name="gaussian",
         u=lambda t: np.ones_like(np.asarray(t, dtype=float)),
         psi=lambda t: np.asarray(t, dtype=float),
         psi_prime=lambda t: np.ones_like(np.asarray(t, dtype=float)),
@@ -102,7 +103,6 @@ def student_spec(p: int, d: float) -> MEstimatorSpec:
     num = 2 * p + d
 
     return MEstimatorSpec(
-        name=f"student(p={p},d={d:g})",
         u=lambda t: num / (d + 2 * np.asarray(t, dtype=float)),
         psi=lambda t: num * np.asarray(t, dtype=float) / (d + 2 * np.asarray(t, dtype=float)),
         psi_prime=lambda t: num * d / (d + 2 * np.asarray(t, dtype=float)) ** 2,
@@ -177,7 +177,7 @@ def _scale_root(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[float, flo
     lo, hi, y = 0.0, np.inf, 1.0
     for _ in range(_SCALE_MAX_STEPS):
         v, s = _scale_sums(spec, t, y, -float(target), 0.0)
-        if abs(v) <= 1e-13 * target:
+        if abs(v) <= _SCALE_RTOL * target:
             return y, v / n
         if v > 0:
             hi = y
@@ -268,15 +268,13 @@ def _each(fn, *stacks) -> tuple[np.ndarray, list]:
     """fn on stacks of matrices, and the positions where it raises LinAlgError.
 
     The stacks go through fn in one call; only when that call fails is each
-    position computed on its own to find the failures (a stack of one needs
-    no second call). A failed position's result, shaped like the last stack,
-    is left undefined.
+    position computed on its own to find the failures. A failed position's
+    result, shaped like the last stack, is left undefined.
     """
     try:
         return fn(*stacks), []
     except np.linalg.LinAlgError:
-        if len(stacks[0]) == 1:
-            return np.empty_like(stacks[-1]), [0]
+        pass
     out = np.empty_like(stacks[-1])
     bad = []
     for j in range(len(stacks[0])):
@@ -572,7 +570,7 @@ def unit_weight_sigma(
 
     For Psi(t) = t the scale equation is linear in sigma, so the safeguarded
     Newton step from sigma = 1 lands on its root: solve_sigma's second pass
-    finds it within its 1e-13 relative tolerance and returns it unchanged.
+    finds it within _SCALE_RTOL and returns it unchanged.
     That first step needs only the two sums of the first pass at y = 1,
     sum(Q) and sum(psi'(Q) * Q), which are taken here piece by piece as the
     draws are made, on `_scale_sums`'s (1, _SCALE_CHUNK) chunks with its
@@ -595,7 +593,7 @@ def unit_weight_sigma(
         del Q, c  # dropped before the next piece is drawn
     if not (np.isfinite(v) and 0 < s < np.inf):
         raise CalibrationError("the scale equation's sums are not finite")
-    sigma = 1.0 if abs(v) <= 1e-13 * target else 1.0 - v / s
+    sigma = 1.0 if abs(v) <= _SCALE_RTOL * target else 1.0 - v / s
     if not 1e-3 <= sigma <= 1e3:
         raise CalibrationError(f"the scale root {sigma:.3g} lies outside [1e-3, 1e3]")
     return sigma

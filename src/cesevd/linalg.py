@@ -116,10 +116,6 @@ class EvdResult:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def hermitian_evd(M) -> EvdResult:
     """Canonical eigendecomposition of a Hermitian matrix.

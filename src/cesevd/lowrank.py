@@ -37,8 +37,6 @@ def build_factor_model(Ur, Lambda_r, gamma2: float) -> FactorModel:
     signal eigenvalues dominate the noise floor.
     """
     Ur = np.asarray(Ur, dtype=complex)
-    if Ur.ndim == 1:
-        Ur = Ur[:, None]
     if Ur.ndim != 2:
         raise InputError(f"Ur must be a p x r matrix, got shape {Ur.shape}")
     p, r = Ur.shape
@@ -79,7 +77,7 @@ def build_factor_model(Ur, Lambda_r, gamma2: float) -> FactorModel:
 def principal_projector(M, r: int) -> HermitianMatrix:
     """Orthogonal projector onto the span of the top-r eigenvectors of M."""
     evd = hermitian_evd(M)
-    p = evd.dim
+    p = evd.eigenvalues.shape[0]
     if not 1 <= r < p:
         raise InputError(f"rank must satisfy 1 <= r < p, got r={r}, p={p}")
     lam = evd.eigenvalues

@@ -204,8 +204,8 @@ def coupled_modular_variate_chunks(
     The stream draws all the gammas ||g||^2 first, then all the chi-squares u.
     To pair them piece by piece, a second generator on the same stream is
     advanced past the gammas (it draws them once more and drops them) and
-    then draws each piece's chi-squares; a single piece needs no second
-    generator. Every piece is bitwise its part of the one-shot draw.
+    then draws each piece's chi-squares. Every piece is bitwise its part of
+    the one-shot draw.
     """
     _check_draws(p, count)
     sizes = _chunk_sizes(count, _DRAW_CHUNK if chunk is None else chunk)
@@ -215,11 +215,9 @@ def coupled_modular_variate_chunks(
             gnorm2 = rng.gamma(p, 1.0, k)
             yield gnorm2.copy(), gnorm2
         return
-    tail = rng
-    if len(sizes) > 1:
-        tail = stream.generator()
-        for k in sizes:
-            tail.gamma(p, 1.0, k)
+    tail = stream.generator()
+    for k in sizes:
+        tail.gamma(p, 1.0, k)
     for k in sizes:
         gnorm2 = rng.gamma(p, 1.0, k)
         u = tail.chisquare(dist.dof, k)

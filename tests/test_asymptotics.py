@@ -63,13 +63,13 @@ class TestClosedFormStudent:
     def test_assembly_identity_holds(self):
         co = coeffs_closed_form_student(20, 3.0)
         p = co.p
-        assert abs(co.theta1 - co.a_m * p * (p + 1) / co.c_m**2) <= 1e-12
+        assert abs(co.theta1 - co.a * p * (p + 1) / co.c**2) <= 1e-12
         sig1 = (co.a * p * (p + 1) + co.c * (co.c - 2 * co.b)) / co.c**2
         assert abs(co.sigma1 - sig1) <= 1e-12
 
     def test_invalid_coefficients_rejected(self):
         with pytest.raises(CoefficientError):
-            AsymptoticCoeffs(p=4, a_m=1, c_m=1, a=1, b=1, c=1,
+            AsymptoticCoeffs(p=4, a=1, b=1, c=1,
                              theta1=-1.0, theta2=0.0, sigma1=0.0, sigma2=0.0)
 
 
@@ -153,14 +153,14 @@ class TestNumericCoeffs:
 
 class TestScatterCov:
     def test_identity_theta2_zero(self):
-        co = AsymptoticCoeffs(p=2, a_m=6.0, c_m=6.0, a=6.0, b=6.0, c=6.0,
+        co = AsymptoticCoeffs(p=2, a=6.0, b=6.0, c=6.0,
                               theta1=1.0, theta2=0.0, sigma1=1.0, sigma2=0.0)
         C, P = scatter_cov(np.eye(2), co)
         np.testing.assert_allclose(C, np.eye(4), atol=1e-14)
         np.testing.assert_allclose(P, commutation(2), atol=1e-14)
 
     def test_identity_theta2_one(self):
-        co = AsymptoticCoeffs(p=2, a_m=6.0, c_m=6.0, a=6.0, b=6.0, c=6.0,
+        co = AsymptoticCoeffs(p=2, a=6.0, b=6.0, c=6.0,
                               theta1=1.0, theta2=1.0, sigma1=1.0, sigma2=1.0)
         C, _ = scatter_cov(np.eye(2), co)
         v = vec(np.eye(2))

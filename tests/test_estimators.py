@@ -55,7 +55,6 @@ def factor_sigma(lambdas, p=20, seed=13):
 def constant_spec(kappa):
     """Constant weight u = kappa: the scale equation has the root p / (kappa E[Q])."""
     return MEstimatorSpec(
-        name="const",
         u=lambda t: np.full_like(np.asarray(t, dtype=float), kappa),
         psi=lambda t: kappa * np.asarray(t, dtype=float),
         psi_prime=lambda t: np.full_like(np.asarray(t, dtype=float), kappa),
@@ -290,16 +289,17 @@ class TestSolveStack:
         assert all(np.array_equal(S.entries, scm(Z).entries) for S, Z in zip(stacked, samples))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_failures_stay_with_their_member(self):
+    @pytest.mark.parametrize("n", [40, 95])  # Newton's first sweep, and the Anderson sweeps' own
+    def test_failures_stay_with_their_member(self, n):
         # stalled members and degenerate ones do not disturb their stack-mates
         spec, opts = student_spec(20, 3.0), SolverOptions(max_iter=5)
-        samples = t_samples(40, 5)
+        samples = t_samples(n, 5)
         samples[2] = samples[2].copy()
         samples[2][0] = 0  # a zero row: the start is singular
         samples[4] = samples[4].copy()
-        samples[4][:, :5] = 0  # five zero columns: the first sweep's scale equation has no root
+        samples[4][:, :n // 8] = 0  # zero columns keep mean(psi) below p: the first sweep's scale equation has no root
         out = fixed_point_solve_stack(spec, samples, SolverOptions())
-        assert isinstance(out[2], DegeneracyError)
+        assert isinstance(out[2], DegeneracyError) and str(out[2]).startswith("singular iterate")
         assert isinstance(out[4], DegeneracyError) and str(out[4]).startswith("scale recalibration has no root")
         for b in (0, 1, 3):
             assert np.array_equal(out[b].entries, fixed_point_solve(spec, samples[b]).entries)

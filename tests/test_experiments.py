@@ -485,6 +485,32 @@ class TestCli:
         assert code == 3
         assert not out.exists()
 
+    def test_library_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a library error that is neither a configuration nor a campaign error: exit 1, no CSV
+        def fail(*args):
+            raise CalibrationError("the scale equation has no root")
+
+        monkeypatch.setattr(exp, "_scm_sigma", fail)
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", "crlb", "--estimator", "scm", "--p", "6", "--n_grid", "50",
+            "--trials", "2", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_excluded_trials_are_printed(self, tmp_path, monkeypatch, capsys):
+        fail_first_trials(monkeypatch, 1)  # 1 of 150 trials fails: within the 1% threshold
+        out = tmp_path / "r.csv"
+        code = main([
+            "run", "--experiment", "eigenvalues", "--p", "6", "--n_grid", "50",
+            "--trials", "150", "--seed", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert "excluded trials: 50:1\n" in capsys.readouterr().out
+        assert out.exists()
+
     def test_grid_not_above_p_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(exp, "sample_coupled", lambda *args: pytest.fail("a trial ran"))
         out = tmp_path / "r.csv"

@@ -59,6 +59,10 @@ class TestBuildFactorModel:
         with pytest.raises(InputError):
             build_factor_model(model_ur, [10.0, 20.0], 1.0)
 
+    def test_vector_ur_rejected(self):
+        with pytest.raises(InputError, match="Ur must be a p x r matrix"):
+            build_factor_model(np.ones(3), [2.0], 1.0)
+
 
 class TestPrincipalProjector:
     def test_diagonal(self):
