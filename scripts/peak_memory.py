@@ -33,7 +33,9 @@ campaign. perfbench's `peak_rss_mb` carries this process's high-water mark
 into its probe, so the phase at which the trace stops rising is the one it
 reports. perfbench's modules are imported, not changed. Then it prints the
 peak of `coeffs_numeric` at its default 1e6 draws for the Student weight
-and for the unit weight.
+and for the unit weight, and the traced peak per member (KiB) of an
+Anderson stack of `stack_size(20, n)` Student samples at n = 95, 147 and
+228, next to the charge `stack_size` divides its budget by.
 tracemalloc counts what Python and numpy allocate, so these peaks do not
 depend on the allocator's state or on what the process ran before, as a
 resident-set peak does. The faults do: a campaign that takes tens of
@@ -52,13 +54,23 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import cesevd.experiments as exp  # noqa: E402
-from cesevd import CesDistribution, RandomStream, coeffs_numeric, gaussian_spec, student_spec  # noqa: E402
-from cesevd.estimators import stack_size, unit_weight_sigma  # noqa: E402
+from cesevd import (  # noqa: E402
+    CesDistribution,
+    RandomStream,
+    coeffs_numeric,
+    gaussian_spec,
+    sample_coupled,
+    student_spec,
+    toeplitz_scatter,
+)
+from cesevd.estimators import _member_bytes, fixed_point_solve_stack, stack_size, unit_weight_sigma  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -163,6 +175,13 @@ def main() -> int:
     spec = gaussian_spec().with_sigma(unit_weight_sigma(dist, p))
     _, peak = peak_mib(coeffs_numeric, spec, dist, p)
     print(f"coeffs_numeric unit p={p} d=6             {peak:7.2f}")
+    sigma, spec = toeplitz_scatter(p, 0.9 * np.exp(1j * np.pi / 4)), student_spec(p, d)
+    for n in (95, 147, 228):
+        size = stack_size(p, n)
+        samples = [sample_coupled(CesDistribution.student_t(d), sigma, n, RandomStream(21, k)).Z for k in range(size)]
+        _, peak = peak_mib(fixed_point_solve_stack, spec, samples, exp._SOLVER)
+        print(f"anderson stack p={p} n={n:<4d} ({size} samples)  {peak * 1024 / size:7.1f} KiB per member, "
+              f"charge {_member_bytes(p, n) / 1024:.1f} KiB")
     return 0
 
 

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the solver's path and its whitenings, weight evaluations and psi passes per solve on the benchmark workloads.
+"""Print the solver's path, its stack size and its whitenings, weight evaluations and psi passes per solve on the
+benchmark workloads.
 
 Run from any directory; the campaigns use the `cesevd` source of the checkout
 this script sits in:
@@ -12,8 +13,9 @@ trial per block, so that every solve is a stack of one, and counts per solve
 the whitenings (calls of `estimators._whiten`), the weight evaluations (calls
 of the spec's u) and the psi passes (calls of the spec's psi, one per chunk
 of each step of the scale root). Each line gives the path the solver takes
-at that (p, n), how many solves Newton's method handed to the Anderson
-sweeps, and the median and maximum of the three counts. A trial's solve does
+at that (p, n), the campaign's samples per stack there (`stack_size(p, n)`),
+how many solves Newton's method handed to the Anderson sweeps, and the
+median and maximum of the three counts. A trial's solve does
 not depend on its block, so the counts are those of the campaign itself, and
 deterministic.
 """
@@ -62,7 +64,7 @@ class Counter:
 
 def _counted_campaign(config, counter: Counter) -> None:
     """Run `config` with every solve recorded by `counter`, restoring the patched names afterwards."""
-    anderson = est._anderson_solve
+    anderson = est._anderson_stack
 
     def fallback(*args):
         counter.fell_back = True
@@ -79,7 +81,7 @@ def _counted_campaign(config, counter: Counter) -> None:
         (exp, "fixed_point_solve_stack", counter.solve(exp.fixed_point_solve_stack)),
         (exp, "student_spec", counted_spec),
         (est, "_whiten", counter.wrap(est._whiten, "whitenings")),
-        (est, "_anderson_solve", fallback),
+        (est, "_anderson_stack", fallback),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:
@@ -92,7 +94,7 @@ def _counted_campaign(config, counter: Counter) -> None:
 
 
 def main() -> int:
-    print("workload     seed    n     path      solves  fallbacks  whitenings med/max  weight evals med/max"
+    print("workload     seed    n     path      stack  solves  fallbacks  whitenings med/max  weight evals med/max"
           "  psi passes med/max")
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
         for name in workloads.WORKLOADS:
@@ -107,7 +109,8 @@ def main() -> int:
                 newton = est._uses_newton(config.p, n)
                 fallbacks = sum(s[3] for s in solves) if newton else "-"
                 whit, wts, psi = ([s[k] for s in solves] for k in range(3))
-                print(f"{name:12s} {seed:<7d} {n:<5d} {'newton' if newton else 'anderson':9s} {len(solves):6d} "
+                print(f"{name:12s} {seed:<7d} {n:<5d} {'newton' if newton else 'anderson':9s} "
+                      f"{est.stack_size(config.p, n):5d} {len(solves):7d} "
                       f"{fallbacks:>10}"
                       f"  {statistics.median(whit):10g} / {max(whit):<4d}"
                       f"  {statistics.median(wts):12g} / {max(wts):<4d}  {statistics.median(psi):10g} / {max(psi)}",

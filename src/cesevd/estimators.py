@@ -22,7 +22,7 @@ _ANDERSON_MEMORY = 3
 # at p = 20, in stacks of `stack_size`, a solve took 0.40 / 0.78 / 0.93
 # of the Anderson sweeps' time at n = 40 / 62 / 80, and 1.3 / 1.2 at n = 88 / 95.
 _NEWTON_RATIO = 4
-# Working set of one Newton stack; see `stack_size`. Larger stacks solve faster but raise peak
+# Working set of one stack; see `stack_size`. Larger stacks solve faster but raise peak
 # memory: 640 KiB adds about 0.7 MB to an eig_small_n campaign.
 _STACK_BYTES = 640 << 10
 # Whitenings a Newton solve may take before its sample goes to the Anderson sweeps.
@@ -140,59 +140,90 @@ def scm(Z) -> HermitianMatrix:
     return HermitianMatrix(_weighted_scatter(Z, None))
 
 
-def _scale_sums(spec: MEstimatorSpec, q: np.ndarray, y: float, val: float, slope: float) -> tuple[float, float]:
-    """val + sum(psi(q*y)) and slope + sum(psi'(q*y) * q) over the values q, in one pass.
+def _column(ys: list):
+    """The floats `ys` as a column that scales the rows of a stack, one each; a single float scales a single row.
 
-    q goes in chunks of _SCALE_CHUNK, each summed in one piece and added to
-    the running Python float, so no temporary is as large as a long q. A
-    chunk is a (1, k) row: the recorded results were made with 2-D sums, and
-    a 1-D sum may round otherwise. No sum goes through BLAS, whose threaded
-    dot product would make the sums depend on the BLAS thread count.
+    Each row gets the products it gets alone: one row is scaled by its float,
+    without building and broadcasting a column.
     """
-    q = q.reshape(1, -1)
-    for i in range(0, q.shape[1], _SCALE_CHUNK):
-        c = q[:, i:i + _SCALE_CHUNK]
-        cy = c * y
-        val += spec.psi(cy).sum(axis=-1).item()
-        slope += np.einsum("ij,ij->i", spec.psi_prime(cy), c).item()
-    return val, slope
+    return ys[0] if len(ys) == 1 else np.array(ys)[:, None]
 
 
-def _scale_root(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[float, float]:
-    """Root y of mean(psi(t*y)) = p for one sample's t, and mean(psi(t*y)) - p at its last evaluation.
+def _scale_sums(spec: MEstimatorSpec, rows: np.ndarray, ys: list, val: float) -> tuple[list, list]:
+    """val + sum(psi(q*y)) and sum(psi'(q*y) * q) for each row q of `rows` and its y in `ys`, in one pass.
 
-    (nan, nan) when the equation has no root. In a sweep y = 1/c recalibrates
-    the iterate's scale; in `solve_sigma`, t is the modular-variate sample
-    and y the calibrated scale.
+    The columns go in chunks of _SCALE_CHUNK, each summed in one piece per
+    row and added to the row's running sum in chunk order, so no temporary
+    is as large as a long row. A chunk is an (m, k) block whose row sums are
+    those of the row alone as a (1, k) block: the recorded results were made
+    with 2-D sums, and a 1-D sum may round otherwise. No sum goes through
+    BLAS, whose threaded dot product would make the sums depend on the BLAS
+    thread count.
+    """
+    yc = _column(ys)
+    vals = slopes = None
+    for i in range(0, rows.shape[1], _SCALE_CHUNK):
+        c = rows[:, i:i + _SCALE_CHUNK]
+        cy = c * yc
+        v = spec.psi(cy).sum(axis=-1).tolist()
+        s = np.einsum("ij,ij->i", spec.psi_prime(cy), c).tolist()
+        if vals is None:  # the running sums are Python floats, which add as numpy's would
+            vals, slopes = [val + a for a in v], s
+        else:
+            vals, slopes = [a + b for a, b in zip(vals, v)], [a + b for a, b in zip(slopes, s)]
+    return vals, slopes
+
+
+def _scale_roots(spec: MEstimatorSpec, t: np.ndarray, p: int) -> tuple[list, list]:
+    """Root y of mean(psi(t_b*y)) = p for each row t_b of a (B, n) t, and mean(psi(t_b*y)) - p at its last evaluation.
+
+    Both come as lists of B floats. A row whose equation has no root gets
+    (nan, nan). In a sweep y = 1/c recalibrates each iterate's scale; in
+    `solve_sigma`, t is one row, the modular-variate sample, and y the
+    calibrated scale.
 
     mean(psi(t*y)) is non-decreasing in y and its root is y = 1 at any fixed
     point (trace identity), so Newton steps start there. Every evaluation
     narrows a bracket on the root, and a step that leaves the bracket is
     replaced by bisection (or by doubling while no upper end is known). A
-    step that would leave [1/_SCALE_LIMIT, _SCALE_LIMIT] ends the search
-    with no root, as when a bounded psi stays below p.
+    step that would leave [1/_SCALE_LIMIT, _SCALE_LIMIT] ends the row's
+    search with no root, as when a bounded psi stays below p. Each step
+    evaluates the rows still searching in one `_scale_sums` pass, and each
+    row's bracket logic runs on Python floats, so a row's result does not
+    depend on the other rows.
     """
-    n = t.shape[-1]
+    B, n = t.shape
     target = n * p
-    lo, hi, y = 0.0, np.inf, 1.0
+    atol = _SCALE_RTOL * target
+    y_out, r_out = [np.nan] * B, [np.nan] * B
+    rows, live, ys = t, [(b, 0.0, np.inf) for b in range(B)], [1.0] * B  # each searching row's (row, lo, hi), and y
     for _ in range(_SCALE_MAX_STEPS):
-        v, s = _scale_sums(spec, t, y, -float(target), 0.0)
-        if abs(v) <= _SCALE_RTOL * target:
-            return y, v / n
-        if v > 0:
-            hi = y
-        else:
-            lo = y
-        step = y - v / s if s > 0 else np.nan
-        if not lo < step < hi:
-            step = 0.5 * (lo + hi) if hi < np.inf else 2.0 * y
-        elif abs(step - y) <= 1e-8 * y:
-            # Newton converges quadratically: the error left is ~1e-16 y
-            return step, v / n
-        if not 1 / _SCALE_LIMIT <= step <= _SCALE_LIMIT:
+        val, slope = _scale_sums(spec, rows, ys, -float(target))
+        searching, steps = [], []
+        for (b, lo, hi), y, v, s in zip(live, ys, val, slope):
+            if abs(v) <= atol:
+                y_out[b], r_out[b] = y, v / n
+                continue
+            if v > 0:
+                hi = y
+            else:
+                lo = y
+            step = y - v / s if s > 0 else np.nan
+            if not lo < step < hi:
+                step = 0.5 * (lo + hi) if hi < np.inf else 2.0 * y
+            elif abs(step - y) <= 1e-8 * y:
+                # Newton converges quadratically: the error left is ~1e-16 y
+                y_out[b], r_out[b] = step, v / n
+                continue
+            if 1 / _SCALE_LIMIT <= step <= _SCALE_LIMIT:  # else no root
+                searching.append((b, lo, hi))
+                steps.append(step)
+        if not searching:
             break
-        y = step
-    return np.nan, np.nan
+        if len(searching) < len(live):
+            rows = t[[b for b, _, _ in searching]]
+        live, ys = searching, steps
+    return y_out, r_out
 
 
 def _whiten(L: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,17 +332,19 @@ def _no_scale_root() -> DegeneracyError:
     return DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
 
 
-def _finish(out: list, ids: list, rows: list, results: list, arrays) -> list:
+def _finish(out: list, ids: list, rows: list, results: list, arrays, lists=()) -> list:
     """Record each finished row's result at its caller's position; return `arrays` without those rows.
 
-    `ids`, the caller's position of each live row, loses the same rows, in place.
+    `ids` (the caller's position of each live row) and each of `lists` lose
+    the same rows, in place.
     """
     if not rows:
         return list(arrays)
     for j, res in zip(rows, results):
         out[ids[j]] = res
     keep = [j for j in range(len(ids)) if j not in rows]
-    ids[:] = [ids[j] for j in keep]
+    for lst in (ids, *lists):
+        lst[:] = [lst[j] for j in keep]
     return [arr[keep] for arr in arrays]
 
 
@@ -327,21 +360,31 @@ def _uses_newton(p: int, n: int) -> bool:
     return n <= _NEWTON_RATIO * p
 
 
-def stack_size(p: int, n: int) -> int:
-    """Samples per stack at p x n: one above Newton's crossover, else as many as fit in _STACK_BYTES.
+def _member_bytes(p: int, n: int) -> int:
+    """The working set charged to one p x n sample of a stack (see `stack_size`)."""
+    if _uses_newton(p, n):
+        return 24 * n * n + 16 * p * (6 * p + 5 * n)
+    return 8 * p * (27 * p + 5 * n)
 
-    The Anderson sweeps solve one sample at a time, so only Newton's method
-    gains from a stack. A Newton member holds two n x n arrays, the complex
+
+def stack_size(p: int, n: int) -> int:
+    """Samples per stack at p x n: as many as fit in _STACK_BYTES, at least one.
+
+    A stack takes one call per step for all its samples: that saves the
+    per-call overhead, which weighs most at small n, and costs working set,
+    which grows with n. A Newton member holds two n x n arrays, the complex
     Gram matrix of its whitened sample and the real Jacobian (24 n^2 bytes),
     six p x p complex arrays for its iterates and about five p x n complex
     arrays: its sample, its row of the stack (copied again when a stack-mate
-    finishes and the stack is compacted) and the step temporaries. At p = 20
-    that gives 4 and 2 samples at n = 40 and 62.
+    finishes and the stack is compacted) and the step temporaries. An
+    Anderson member is charged 13.5 p x p and 2.5 p x n complex arrays,
+    fitted to traced peaks: at p = 20 a stack's peak per member was
+    156 / 190 / 247 KiB at n = 95 / 147 / 228 in stacks of 4 / 3 / 2, against
+    charges of 159 / 199 / 263 KiB. At p = 20 that gives 4 and 2 samples at
+    n = 40 and 62 (Newton), 4, 3 and 2 at n = 95, 147 and 228 (Anderson),
+    and one from n = 352 on.
     """
-    if not _uses_newton(p, n):
-        return 1
-    member = 24 * n * n + 16 * p * (6 * p + 5 * n)
-    return max(1, _STACK_BYTES // member)
+    return max(1, _STACK_BYTES // _member_bytes(p, n))
 
 
 def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> list:
@@ -356,23 +399,38 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
 
     The shape alone picks the method. For n <= _NEWTON_RATIO * p, Newton's
     method on the n trial weights runs on the whole stack at once
-    (`_newton_stack`): its stacked n x n systems share BLAS and LAPACK calls,
-    and every stacked step works sample by sample with the arithmetic of a
-    single sample's solve. A sample it does not certify is solved by the
-    Anderson sweeps (`_anderson_solve`), with the result those give it for
-    any n. Above that crossover the Anderson sweeps solve every sample, one
-    sample at a time.
+    (`_newton_stack`), and the samples it does not certify go to the
+    Anderson sweeps together, with the result those give each for any n.
+    Above that crossover the Anderson sweeps (`_anderson_stack`) solve the
+    whole stack. Either way each step makes one BLAS or LAPACK call per
+    operation, and each scale root one pass per step, for all the samples
+    still live, with the arithmetic of a single sample's solve for each.
+    That saves the per-call overhead that dominates a sweep at small n;
+    `stack_size` gives the campaigns' stacks, several samples up to a few
+    hundred columns at p = 20 and one sample beyond, where a sweep's cost
+    is arithmetic. An empty stack has no entries; samples of different
+    shapes are an InputError.
     """
     opts = opts or SolverOptions()
+    if len(Z) == 0:
+        return []
     if len(Z) == 1:  # a stack of one: its sample is viewed, not copied
         Z = _as_samples(Z[0])[None]
     else:
-        Z = np.stack([_as_samples(z) for z in Z])
+        samples = [_as_samples(z) for z in Z]
+        for z in samples:
+            if z.shape != samples[0].shape:
+                raise InputError(f"the samples of a stack differ in shape: {samples[0].shape} and {z.shape}")
+        Z = np.stack(samples)
     B, p, n = Z.shape
     if n <= p:
         raise DegeneracyError(f"need n > p samples for a full-rank solution, got n={n}, p={p}")
     out = _newton_stack(spec, Z, opts) if _uses_newton(p, n) else [None] * B
-    return [_anderson_solve(spec, z, opts) if res is None else res for z, res in zip(Z, out)]
+    rest = [b for b, res in enumerate(out) if res is None]
+    if rest:
+        for b, res in zip(rest, _anderson_stack(spec, Z if len(rest) == B else Z[rest], opts)):
+            out[b] = res
+    return out
 
 
 def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> list:
@@ -398,10 +456,10 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     L, bad = _each(np.linalg.cholesky, _start(Z))
     Z, L = _finish(out, ids, bad, [_singular_iterate() for _ in bad], (Z, L))
     t = _whiten(L, Z)[1]
-    y = np.array([_scale_root(spec, tj, p)[0] for tj in t])
-    bad = [j for j, v in enumerate(y.tolist()) if v != v]  # no root
-    Z, t, y = _finish(out, ids, bad, [_no_scale_root() for _ in bad], (Z, t, y))
-    w = spec.u(t * y[:, None])
+    y = _scale_roots(spec, t, p)[0]
+    bad = [j for j, v in enumerate(y) if v != v]  # no root
+    Z, t = _finish(out, ids, bad, [_no_scale_root() for _ in bad], (Z, t), (y,))
+    w = spec.u(t * _column(y))
     for _ in range(min(_NEWTON_STEPS, opts.max_iter) - 1):
         if not ids:
             break
@@ -441,56 +499,83 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     return out
 
 
-def _anderson_solve(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions):
-    """The accelerated fixed-point sweeps of `fixed_point_solve` on one p x n sample.
+def _anderson_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> list:
+    """The accelerated fixed-point sweeps of `fixed_point_solve` on a (B, p, n) stack.
 
-    Returns its entry of `fixed_point_solve_stack`: the solution as a
-    HermitianMatrix, or the DegeneracyError or ConvergenceError it gets.
+    Returns the entries `fixed_point_solve_stack` returns. Each sweep whitens,
+    recalibrates, maps and factors the whole stack in one call each, while
+    every sample keeps its own Anderson history, restarts, certification and
+    error, and leaves the stack once it is certified or has failed.
     """
-    p = Z.shape[0]
+    B, p, _ = Z.shape
     S = _start(Z)
-    history: list = []  # (residual, image) differences, oldest first
-    last = None  # the last (residual, image); None before the first sweep and after a restart
-    L = _cholesky(S)
-    if L is None:
-        return _singular_iterate()
+    out: list = [None] * B
+    ids = list(range(B))  # the caller's position of each live row
+    history: list = [[] for _ in range(B)]  # each row's (residual, image) differences, oldest first
+    last: list = [None] * B  # each row's last (residual, image); None before its first sweep and after a restart
+
+    def finish(rows, results, arrays, lists=()):
+        """Record each finished row's result; return `arrays` with the other rows, and compact the lists alike."""
+        return _finish(out, ids, rows, results, arrays, (history, last, *lists))
+
+    L, bad = _each(np.linalg.cholesky, S)
+    Z, S, L = finish(bad, [_singular_iterate() for _ in bad], (Z, S, L))
     for _ in range(opts.max_iter):
+        if not ids:
+            break
         t = _whiten(L, Z)[1]
-        y = _scale_root(spec, t, p)[0]
-        if y != y:  # no root
-            return _no_scale_root()
-        T = _weighted_scatter(Z, spec.u(t * y))
-        f = (T - S).view(np.float64).reshape(-1)
+        y = _scale_roots(spec, t, p)[0]
+        bad = [j for j, v in enumerate(y) if v != v]  # no root
+        if bad:
+            Z, S, t = finish(bad, [_no_scale_root() for _ in bad], (Z, S, t), (y,))
+            if not ids:
+                break
+        T = _weighted_scatter(Z, spec.u(t * _column(y)))
+        f = (T - S).view(np.float64).reshape(len(ids), -1)
         norm_S = _frobenius(S)
         resid = _norms(f) / norm_S
         # Certify the contract on the plain (uncorrected) map before returning. At y = 1 the image
         # is the plain one, and `resid` is its residual, computed with the same kernels.
-        if resid <= opts.tol and (
-                y == 1.0 or _frobenius(_weighted_scatter(Z, spec.u(t)) - S) / norm_S <= opts.tol):
-            return HermitianMatrix(S)
+        done = [j for j, r in enumerate(resid.tolist()) if r <= opts.tol and (
+            y[j] == 1.0 or _frobenius(_weighted_scatter(Z[j], spec.u(t[j])) - S[j]) / norm_S[j] <= opts.tol)]
+        if done:
+            Z, T, f, resid = finish(done, [HermitianMatrix(S[j]) for j in done], (Z, T, f, resid))
+            if not ids:
+                break
 
-        # The next iterate: the Anderson mix, or the plain image.
-        if last is not None:
-            if len(history) == _ANDERSON_MEMORY:
-                del history[0]
-            history.append((f - last[0], T - last[1]))
-        last = f, T
+        # The next iterates: each row's Anderson mix, or its plain image.
         S = T.copy()
-        if history and not _anderson_mix(S, f, history):
-            # A dependent history: restart from the plain image.
-            history.clear()
-            last = None
-        L = _cholesky(S)
-        if L is None and history:
-            # A mix outside the positive-definite cone: restart from the plain image.
-            history.clear()
-            last = None
-            S = T
-            L = _cholesky(S)
-        if L is None:
-            return _singular_iterate()
-    return ConvergenceError(
-        f"no convergence within {opts.max_iter} iterations (last residual {resid:.3e})", residual=float(resid))
+        for j, hist in enumerate(history):
+            fj, Tj = f[j], T[j]
+            if last[j] is not None:
+                if len(hist) == _ANDERSON_MEMORY:
+                    del hist[0]
+                hist.append((fj - last[j][0], Tj - last[j][1]))
+            last[j] = fj, Tj
+            if hist and not _anderson_mix(S[j], fj, hist):
+                # A dependent history: restart from the plain image.
+                hist.clear()
+                last[j] = None
+        L, bad = _each(np.linalg.cholesky, S)
+        failed = []
+        for j in bad:
+            if history[j]:  # the row was mixed
+                # A mix outside the positive-definite cone: restart from the plain image.
+                history[j].clear()
+                last[j] = None
+                S[j] = T[j]
+                Lj = _cholesky(S[j])
+                if Lj is not None:
+                    L[j] = Lj
+                    continue
+            failed.append(j)
+        if failed:
+            Z, S, L, resid = finish(failed, [_singular_iterate() for _ in failed], (Z, S, L, resid))
+    for j, b in enumerate(ids):
+        out[b] = ConvergenceError(
+            f"no convergence within {opts.max_iter} iterations (last residual {resid[j]:.3e})",
+            residual=float(resid[j]))
+    return out
 
 
 def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> HermitianMatrix:
@@ -517,7 +602,7 @@ def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None
     S(w) = (1/n) Z diag(w) Z^H: about 8 whitenings where the sweeps take
     about 20 at n = 2p. A sample that Newton's method does not certify
     within a few steps gets the sweeps' solution. See `_newton_stack` and
-    `_anderson_solve`. This is `fixed_point_solve_stack` on a stack of one
+    `_anderson_stack`. This is `fixed_point_solve_stack` on a stack of one
     sample.
     """
     (result,) = fixed_point_solve_stack(spec, [Z], opts)
@@ -550,7 +635,7 @@ def solve_sigma(
     from one streamed pass that never holds Q.
     """
     Q = modular_variate_sample(dist, p, draws, stream or _CALIBRATION_STREAM)
-    sigma, resid = _scale_root(spec, Q, p)
+    (sigma,), (resid,) = _scale_roots(spec, Q[None], p)
     if np.isnan(sigma):
         raise CalibrationError("the scale equation has no root")
     if not 1e-3 <= sigma <= 1e3:

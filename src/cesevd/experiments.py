@@ -6,11 +6,13 @@ the experiment's statistics, one trial at a time. Each experiment is one entry
 of `_EXPERIMENT_TABLE`: its CSV columns, set-up, per-trial statistic and theory
 row. Per-trial streams derive from (seed, grid index, trial index). The trials
 of a grid point run in fixed blocks, in order, whose robust estimates come from
-one `fixed_point_solve_stack` call. Only Newton's method solves a block as a
-stack, so a block holds several trials only at sample sizes Newton solves;
-above its crossover every block is one trial. A trial's result depends neither
-on its block nor on the block size, so results are a pure function of the
-configuration.
+one `fixed_point_solve_stack` call. The solver steps through a block as one
+stack, which saves per-call overhead where that dominates, at small n, and
+costs working set, which grows with n; so a block holds as many trials as
+`estimators.stack_size` fits in a fixed budget: several up to a few hundred
+samples at p = 20 (Newton's stacks, then the Anderson sweeps'), one beyond. A
+trial's result depends neither on its block nor on the block size, so results
+are a pure function of the configuration.
 """
 
 from __future__ import annotations

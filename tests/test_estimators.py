@@ -74,6 +74,11 @@ def bisect_scale(spec, Q, p):
             hi = mid
 
 
+def anderson(spec, Z):
+    """The Anderson sweeps' entry for the one sample Z, solved as a stack of one."""
+    return estimators._anderson_stack(spec, Z[None], SolverOptions())[0]
+
+
 def counting_u(spec):
     """`spec` with a call counter on its weight function."""
     calls = [0]
@@ -272,7 +277,7 @@ def solve_in_blocks(spec, samples, size, opts=None):
 
 
 class TestSolveStack:
-    @pytest.mark.parametrize("n", [40, 95, 2000])
+    @pytest.mark.parametrize("n", [40, 95, 228, 2000])
     @pytest.mark.parametrize("weight", ["student", "unit"])
     def test_members_equal_single_solves_bitwise(self, weight, n):
         spec = student_spec(20, 3.0) if weight == "student" else gaussian_spec()
@@ -282,6 +287,16 @@ class TestSolveStack:
             stacked = solve_in_blocks(spec, samples, size)
             assert all(isinstance(S, HermitianMatrix) for S in stacked)
             assert all(np.array_equal(S.entries, ref) for S, ref in zip(stacked, single))
+
+    def test_empty_stack_has_no_entries(self):
+        spec = student_spec(20, 3.0)
+        assert fixed_point_solve_stack(spec, []) == []
+        assert fixed_point_solve_stack(spec, np.empty((0, 20, 95), dtype=complex)) == []
+
+    def test_samples_of_different_shapes_are_an_input_error(self):
+        samples = [t_samples(95, 1)[0], t_samples(96, 1)[0]]
+        with pytest.raises(InputError, match=r"\(20, 95\) and \(20, 96\)"):
+            fixed_point_solve_stack(student_spec(20, 3.0), samples)
 
     def test_unit_weight_members_equal_scm_bitwise(self):
         samples = t_samples(62, 5)
@@ -336,8 +351,8 @@ class TestSolveStack:
 
     def test_one_rejected_mix_falls_back_for_that_member_only(self, monkeypatch):
         spec = student_spec(20, 3.0)
-        samples = t_samples(95, 5, seed=12)  # above Newton's crossover: the Anderson sweeps solve them
-        assert not estimators._uses_newton(20, 95)
+        samples = t_samples(95, 5, seed=12)  # above Newton's crossover: the Anderson sweeps solve them as one stack
+        assert not estimators._uses_newton(20, 95) and estimators.stack_size(20, 95) >= 4
         plain = [fixed_point_solve(spec, Z).entries for Z in samples]
         cholesky = np.linalg.cholesky
         factored = []
@@ -350,8 +365,12 @@ class TestSolveStack:
         fixed_point_solve(spec, samples[3])
         target = factored[2]  # member 3's first Anderson mix
 
+        sizes = []
+
         def reject_target(S):
-            if any(np.array_equal(M, target) for M in np.reshape(S, (-1,) + target.shape)):
+            mats = np.reshape(S, (-1,) + target.shape)
+            sizes.append(len(mats))
+            if any(np.array_equal(M, target) for M in mats):
                 raise np.linalg.LinAlgError("injected: mix is not positive definite")
             return cholesky(S)
 
@@ -359,6 +378,7 @@ class TestSolveStack:
         fallback = fixed_point_solve(spec, samples[3]).entries
         stacked = fixed_point_solve_stack(spec, samples)
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        assert max(sizes) == 5  # the stack's iterates were factored in one call
         assert not np.array_equal(fallback, plain[3])  # the member took the plain image
         assert plain_residual(spec, samples[3], fallback) <= 1e-10
         assert np.array_equal(stacked[3].entries, fallback)
@@ -370,10 +390,10 @@ class TestSolveStack:
         Z = np.stack(t_samples(2000, 3))
         S = np.stack([fixed_point_solve(spec, z).entries for z in Z])
         t = estimators._whiten(np.linalg.cholesky(S), Z)[1]
-        y = np.array([estimators._scale_root(spec, tj, 20)[0] for tj in t])
-        assert np.all(y == 1.0)
+        y = estimators._scale_roots(spec, t, 20)[0]
+        assert y == [1.0] * len(S)
         norm_S = estimators._frobenius(S)
-        T = estimators._weighted_scatter(Z, spec.u(t * y[:, None]))
+        T = estimators._weighted_scatter(Z, spec.u(t * estimators._column(y)))
         resid = estimators._norms((T - S).view(np.float64).reshape(len(S), -1)) / norm_S
         for j in range(len(S)):
             plain = estimators._weighted_scatter(Z[j], spec.u(t[j])) - S[j]
@@ -385,13 +405,43 @@ class TestSolveStack:
         for n in (40, 95, 2000):
             t = rng.gamma(20.0, 1.0, (6, n)) * np.linspace(0.5, 2.0, 6)[:, None]
             t[4] = 0.0  # psi(0) = 0: no root for this row
+            y, resid = estimators._scale_roots(spec, t, 20)
             for b in range(6):
-                y, resid = estimators._scale_root(spec, t[b], 20)
                 if b == 4:
-                    assert np.isnan(y) and np.isnan(resid)
+                    assert np.isnan(y[b]) and np.isnan(resid[b])
                 else:
                     reference = bisect_scale(spec, t[b], 20)
-                    assert abs(y - reference) <= 1e-12 * reference
+                    assert abs(y[b] - reference) <= 1e-12 * reference
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_scale_roots_of_a_stack_equal_each_row_alone_bitwise(self):
+        # rows that stop after different numbers of steps, one with no root and one already at y = 1
+        spec = student_spec(20, 3.0)
+        Z = t_samples(2000, 1)[0]  # its solution's scale root is exactly 1 (see the test above)
+        at_one = estimators._whiten(np.linalg.cholesky(fixed_point_solve(spec, Z).entries), Z)[1]
+        rng = np.random.default_rng(5)
+        t = np.stack([at_one, 1.001 * at_one, rng.gamma(20.0, 1.0, 2000), np.zeros(2000), 40.0 * at_one,
+                      1e-3 * at_one])
+        psi_calls = []
+
+        def counted(spec):
+            calls = [0]
+
+            def psi(x):
+                calls[0] += 1
+                return spec.psi(x)
+
+            psi_calls.append(calls)
+            return dataclasses.replace(spec, psi=psi)
+
+        y, resid = estimators._scale_roots(spec, t, 20)
+        assert y[0] == 1.0 and np.isnan(y[3]) and np.isnan(resid[3])
+        for b in range(len(t)):
+            y_b, resid_b = estimators._scale_roots(counted(spec), t[b:b + 1], 20)
+            assert np.array_equal(y_b, y[b:b + 1], equal_nan=True)
+            assert np.array_equal(resid_b, resid[b:b + 1], equal_nan=True)
+        steps = [calls[0] for calls in psi_calls]
+        assert steps[0] == 1 and len(set(steps)) >= 4
 
 
 def solver_residual(spec, Z, S):
@@ -429,9 +479,9 @@ class TestNewton:
     def test_same_solution_as_the_anderson_sweeps(self):
         spec = student_spec(20, 3.0)
         for Z in t_samples(62, 3):
-            anderson = estimators._anderson_solve(spec, Z, SolverOptions())
+            reference = anderson(spec, Z)
             newton = fixed_point_solve(spec, Z).entries
-            assert np.linalg.norm(newton - anderson.entries) / np.linalg.norm(anderson.entries) < 1e-8
+            assert np.linalg.norm(newton - reference.entries) / np.linalg.norm(reference.entries) < 1e-8
 
     def test_uncertified_member_gets_the_anderson_solve_bitwise(self):
         spec = student_spec(20, 3.0)
@@ -440,15 +490,14 @@ class TestNewton:
         samples = t_samples(40, 2)
         samples.insert(1, bad)
         stacked = fixed_point_solve_stack(spec, samples)
-        anderson = estimators._anderson_solve(spec, bad, SolverOptions())
-        assert np.array_equal(stacked[1].entries, anderson.entries)
+        assert np.array_equal(stacked[1].entries, anderson(spec, bad).entries)
         assert all(np.array_equal(S.entries, fixed_point_solve(spec, Z).entries) for S, Z in zip(stacked, samples))
 
     def test_non_positive_step_hands_over_to_the_sweeps(self, monkeypatch):
         # halving that step to keep the weights positive spent all 16 Newton whitenings, 38 in all
         spec = student_spec(20, 3.0)
         Z = newton_failure_sample()
-        anderson = estimators._anderson_solve(spec, Z, SolverOptions())
+        reference = anderson(spec, Z)
         calls = [0]
         whiten = estimators._whiten
 
@@ -457,13 +506,13 @@ class TestNewton:
             return whiten(*args)
 
         monkeypatch.setattr(estimators, "_whiten", counted)
-        assert np.array_equal(fixed_point_solve(spec, Z).entries, anderson.entries)
+        assert np.array_equal(fixed_point_solve(spec, Z).entries, reference.entries)
         assert calls[0] <= 24
 
     def test_singular_newton_systems_give_the_anderson_solve_bitwise(self, monkeypatch):
         spec = student_spec(20, 3.0)
         samples = t_samples(62, 3)
-        reference = [estimators._anderson_solve(spec, Z, SolverOptions()).entries for Z in samples]
+        reference = [anderson(spec, Z).entries for Z in samples]
 
         def singular(*args):
             raise np.linalg.LinAlgError("injected: singular Newton system")
@@ -520,10 +569,10 @@ class TestSolveSigma:
             sizes.append(x.size)
             return spec.psi(x)
 
-        chunked, _ = estimators._scale_root(dataclasses.replace(spec, psi=psi), t, 20)
+        (chunked,), _ = estimators._scale_roots(dataclasses.replace(spec, psi=psi), t[None], 20)
         assert max(sizes) == estimators._SCALE_CHUNK and len(sizes) % 3 == 0
         monkeypatch.setattr(estimators, "_SCALE_CHUNK", t.size)
-        whole, _ = estimators._scale_root(spec, t, 20)
+        (whole,), _ = estimators._scale_roots(spec, t[None], 20)
         assert abs(chunked - whole) <= 1e-14 * whole
 
     def test_same_bits_for_any_blas_thread_count(self):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cesevd import (
+    CesDistribution,
     ExperimentConfig,
     RandomStream,
     SolverOptions,
@@ -21,6 +22,8 @@ from cesevd import (
     render_svg,
     run_experiment,
     sample_coupled,
+    student_spec,
+    toeplitz_scatter,
     write_csv,
 )
 import cesevd.asymptotics as asymptotics
@@ -176,7 +179,7 @@ class TestDeterminism:
         run_experiment(fast_config(threads=3))
 
     def test_block_size_does_not_change_csv_bytes(self, tmp_path, monkeypatch):
-        cfg = fast_config(n_grid=NEWTON_GRID, trials=40)
+        cfg = fast_config(n_grid=NEWTON_GRID + (50,), trials=40)  # Newton's stacks, then an Anderson stack of 33
         assert estimators.stack_size(cfg.p, 20) < cfg.trials < 2 * estimators.stack_size(cfg.p, 12)
         write_csv(run_experiment(cfg), tmp_path / "blocked.csv")
         monkeypatch.setattr(estimators, "_STACK_BYTES", 1)  # one trial per block
@@ -184,9 +187,24 @@ class TestDeterminism:
         assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "single.csv").read_bytes()
 
     def test_block_sizes_fit_the_working_set(self):
-        # several trials only where Newton's method solves the block as a stack (n <= 4p)
-        assert [estimators.stack_size(20, n) for n in (40, 62, 80, 81, 95, 147, 2000)] == [4, 2, 2, 1, 1, 1, 1]
+        # Newton's stacks up to n = 4p, then the Anderson sweeps' stacks, down to one trial from n = 352
+        grid = (40, 62, 80, 81, 95, 147, 228, 352, 2000)
+        assert [estimators.stack_size(20, n) for n in grid] == [4, 2, 2, 4, 4, 3, 2, 1, 1]
         assert [estimators.stack_size(6, n) for n in NEWTON_GRID] == [51, 28]
+        # a stack's traced peak per member stays within the charge its size is computed from
+        sigma = toeplitz_scatter(20, 0.9 * np.exp(1j * math.pi / 4))
+        spec = student_spec(20, 3.0)
+        for n in (40, 62, 95, 147, 228):
+            size = estimators.stack_size(20, n)
+            samples = [sample_coupled(CesDistribution.student_t(3.0), sigma, n, RandomStream(21, k)).Z
+                       for k in range(size)]
+            tracemalloc.start()
+            try:
+                estimators.fixed_point_solve_stack(spec, samples, exp._SOLVER)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / size <= estimators._member_bytes(20, n)
 
     def test_seed_changes_results(self):
         r1 = run_experiment(fast_config())
