@@ -64,11 +64,12 @@ class Counter:
 
 def _counted_campaign(config, counter: Counter) -> None:
     """Run `config` with every solve recorded by `counter`, restoring the patched names afterwards."""
-    anderson = est._anderson_stack
+    newton_stack = est._newton_stack
 
     def fallback(*args):
-        counter.fell_back = True
-        return anderson(*args)
+        out = newton_stack(*args)
+        counter.fell_back = None in out  # the sample Newton's method does not certify continues the sweeps
+        return out
 
     student_spec = exp.student_spec
 
@@ -81,7 +82,7 @@ def _counted_campaign(config, counter: Counter) -> None:
         (exp, "fixed_point_solve_stack", counter.solve(exp.fixed_point_solve_stack)),
         (exp, "student_spec", counted_spec),
         (est, "_whiten", counter.wrap(est._whiten, "whitenings")),
-        (est, "_anderson_stack", fallback),
+        (est, "_newton_stack", fallback),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
     try:

@@ -140,15 +140,6 @@ def scm(Z) -> HermitianMatrix:
     return HermitianMatrix(_weighted_scatter(Z, None))
 
 
-def _column(ys: list):
-    """The floats `ys` as a column that scales the rows of a stack, one each; a single float scales a single row.
-
-    Each row gets the products it gets alone: one row is scaled by its float,
-    without building and broadcasting a column.
-    """
-    return ys[0] if len(ys) == 1 else np.array(ys)[:, None]
-
-
 def _scale_sums(spec: MEstimatorSpec, rows: np.ndarray, ys: list, val: float) -> tuple[list, list]:
     """val + sum(psi(q*y)) and sum(psi'(q*y) * q) for each row q of `rows` and its y in `ys`, in one pass.
 
@@ -156,11 +147,13 @@ def _scale_sums(spec: MEstimatorSpec, rows: np.ndarray, ys: list, val: float) ->
     row and added to the row's running sum in chunk order, so no temporary
     is as large as a long row. A chunk is an (m, k) block whose row sums are
     those of the row alone as a (1, k) block: the recorded results were made
-    with 2-D sums, and a 1-D sum may round otherwise. No sum goes through
+    with 2-D sums, and a 1-D sum may round otherwise. The ys scale their
+    rows as one (m, 1) column, whose products are those of each float
+    alone, for one row as for many. No sum goes through
     BLAS, whose threaded dot product would make the sums depend on the BLAS
     thread count.
     """
-    yc = _column(ys)
+    yc = np.array(ys)[:, None]
     vals = slopes = None
     for i in range(0, rows.shape[1], _SCALE_CHUNK):
         c = rows[:, i:i + _SCALE_CHUNK]
@@ -324,14 +317,6 @@ def _cholesky(S: np.ndarray) -> np.ndarray | None:
         return None
 
 
-def _singular_iterate() -> DegeneracyError:
-    return DegeneracyError("singular iterate: Cholesky factorization failed")
-
-
-def _no_scale_root() -> DegeneracyError:
-    return DegeneracyError("scale recalibration has no root; weight function unusable on this sample")
-
-
 def _finish(out: list, ids: list, rows: list, results: list, arrays, lists=()) -> list:
     """Record each finished row's result at its caller's position; return `arrays` without those rows.
 
@@ -346,13 +331,6 @@ def _finish(out: list, ids: list, rows: list, results: list, arrays, lists=()) -
     for lst in (ids, *lists):
         lst[:] = [lst[j] for j in keep]
     return [arr[keep] for arr in arrays]
-
-
-def _start(Z: np.ndarray) -> np.ndarray:
-    """The first iterate of a sample, or of each sample of a stack: its SCM scaled to trace p."""
-    p = Z.shape[-2]
-    S = _weighted_scatter(Z, None)
-    return S * (p / np.trace(S, axis1=-2, axis2=-1).real)[..., None, None]
 
 
 def _uses_newton(p: int, n: int) -> bool:
@@ -374,9 +352,12 @@ def stack_size(p: int, n: int) -> int:
     per-call overhead, which weighs most at small n, and costs working set,
     which grows with n. A Newton member holds two n x n arrays, the complex
     Gram matrix of its whitened sample and the real Jacobian (24 n^2 bytes),
-    six p x p complex arrays for its iterates and about five p x n complex
+    six p x p complex arrays for its iterates, the sweep loop's first
+    iterate and its factor among them, and about five p x n complex
     arrays: its sample, its row of the stack (copied again when a stack-mate
-    finishes and the stack is compacted) and the step temporaries. An
+    finishes and the stack is compacted) and the step temporaries. At
+    p = 20 a Newton stack's traced peak per member was 73 / 104 / 160 KiB
+    at n = 21 / 40 / 62, against charges of 81 / 138 / 225 KiB. An
     Anderson member is charged 13.5 p x p and 2.5 p x n complex arrays,
     fitted to traced peaks: at p = 20 a stack's peak per member was
     156 / 190 / 247 KiB at n = 95 / 147 / 228 in stacks of 4 / 3 / 2, against
@@ -397,19 +378,21 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     `fixed_point_solve` returns for that sample alone, whatever its
     stack-mates and the stack size.
 
-    The shape alone picks the method. For n <= _NEWTON_RATIO * p, Newton's
-    method on the n trial weights runs on the whole stack at once
-    (`_newton_stack`), and the samples it does not certify go to the
-    Anderson sweeps together, with the result those give each for any n.
-    Above that crossover the Anderson sweeps (`_anderson_stack`) solve the
-    whole stack. Either way each step makes one BLAS or LAPACK call per
-    operation, and each scale root one pass per step, for all the samples
+    One loop of accelerated fixed-point sweeps solves the stack. Each sweep
+    factors, whitens, recalibrates and maps the whole stack in one call
+    each, and each scale root takes one pass per step for all the samples
     still live, with the arithmetic of a single sample's solve for each.
-    That saves the per-call overhead that dominates a sweep at small n;
-    `stack_size` gives the campaigns' stacks, several samples up to a few
-    hundred columns at p = 20 and one sample beyond, where a sweep's cost
-    is arithmetic. An empty stack has no entries; samples of different
-    shapes are an InputError.
+    Every sample keeps its own Anderson history, restarts, certification
+    and error, and leaves the stack once it is certified or has failed.
+    The shape alone picks the method: for n <= _NEWTON_RATIO * p, the first
+    sweep's weights start Newton's method on the whole stack at once
+    (`_newton_stack`), and the samples it does not certify continue the
+    sweeps from that first sweep's image, with the result the sweeps give
+    each for any n. Stacking saves the per-call overhead that dominates a
+    sweep at small n; `stack_size` gives the campaigns' stacks, several
+    samples up to a few hundred columns at p = 20 and one sample beyond,
+    where a sweep's cost is arithmetic. An empty stack has no entries;
+    samples of different shapes are an InputError.
     """
     opts = opts or SolverOptions()
     if len(Z) == 0:
@@ -425,41 +408,104 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     B, p, n = Z.shape
     if n <= p:
         raise DegeneracyError(f"need n > p samples for a full-rank solution, got n={n}, p={p}")
-    out = _newton_stack(spec, Z, opts) if _uses_newton(p, n) else [None] * B
-    rest = [b for b, res in enumerate(out) if res is None]
-    if rest:
-        for b, res in zip(rest, _anderson_stack(spec, Z if len(rest) == B else Z[rest], opts)):
-            out[b] = res
+    out: list = [None] * B
+    ids = list(range(B))  # the caller's position of each live row
+    history: list = [[] for _ in range(B)]  # each row's (residual, image) differences, oldest first
+    last: list = [None] * B  # each row's last (residual, image); None before its first sweep and after a restart
+
+    def finish(rows, results, arrays, lists=()):
+        """Record each finished row's result; return `arrays` with the other rows, and compact the lists alike."""
+        return _finish(out, ids, rows, results, arrays, (history, last, *lists))
+
+    S = _weighted_scatter(Z, None)  # the start: each sample's SCM, scaled to trace p
+    S *= (p / np.trace(S, axis1=-2, axis2=-1).real)[..., None, None]
+    for sweep in range(opts.max_iter):
+        L, bad = _each(np.linalg.cholesky, S)
+        failed = []
+        for j in bad:
+            if history[j]:  # the row was mixed
+                # A mix outside the positive-definite cone: restart from the plain image.
+                history[j].clear()
+                last[j] = None
+                S[j] = T[j]
+                Lj = _cholesky(S[j])
+                if Lj is not None:
+                    L[j] = Lj
+                    continue
+            failed.append(j)
+        if failed:
+            err = "singular iterate: Cholesky factorization failed"
+            Z, S, L = finish(failed, [DegeneracyError(err) for _ in failed], (Z, S, L))
+            if not ids:
+                break
+        t = _whiten(L, Z)[1]
+        y = _scale_roots(spec, t, p)[0]
+        bad = [j for j, v in enumerate(y) if v != v]  # no root
+        if bad:
+            err = "scale recalibration has no root; weight function unusable on this sample"
+            Z, S, t = finish(bad, [DegeneracyError(err) for _ in bad], (Z, S, t), (y,))
+            if not ids:
+                break
+        w = spec.u(t * np.array(y)[:, None])
+        if sweep == 0 and _uses_newton(p, n):
+            solved = _newton_stack(spec, Z, w, opts)
+            done = [j for j, res in enumerate(solved) if res is not None]
+            if done:
+                Z, S, t, w = finish(done, [solved[j] for j in done], (Z, S, t, w), (y,))
+                if not ids:
+                    break
+        T = _weighted_scatter(Z, w)
+        f = (T - S).view(np.float64).reshape(len(ids), -1)
+        norm_S = _frobenius(S)
+        resid = _norms(f) / norm_S
+        # Certify the contract on the plain (uncorrected) map before returning. At y = 1 the image
+        # is the plain one, and `resid` is its residual, computed with the same kernels.
+        done = [j for j, r in enumerate(resid.tolist()) if r <= opts.tol and (
+            y[j] == 1.0 or _frobenius(_weighted_scatter(Z[j], spec.u(t[j])) - S[j]) / norm_S[j] <= opts.tol)]
+        if done:
+            Z, T, f, resid = finish(done, [HermitianMatrix(S[j]) for j in done], (Z, T, f, resid))
+            if not ids:
+                break
+
+        # The next iterates: each row's Anderson mix, or its plain image.
+        S = T.copy()
+        for j, hist in enumerate(history):
+            fj, Tj = f[j], T[j]
+            if last[j] is not None:
+                if len(hist) == _ANDERSON_MEMORY:
+                    del hist[0]
+                hist.append((fj - last[j][0], Tj - last[j][1]))
+            last[j] = fj, Tj
+            if hist and not _anderson_mix(S[j], fj, hist):
+                # A dependent history: restart from the plain image.
+                hist.clear()
+                last[j] = None
+    for j, b in enumerate(ids):
+        out[b] = ConvergenceError(
+            f"no convergence within {opts.max_iter} iterations (last residual {resid[j]:.3e})",
+            residual=float(resid[j]))
     return out
 
 
-def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> list:
-    """Newton's method on each sample's weights: its solution as a HermitianMatrix, an error, or None.
+def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, w: np.ndarray, opts: SolverOptions) -> list:
+    """Newton's method on each sample's weights from the first sweep's `w`: its solution as a HermitianMatrix, or None.
 
     The fixed point is S(w) = (1/n) Z diag(w) Z^H at the root of
     F(w) = w - u(t(w)), where t_i(w) = z_i^H S(w)^{-1} z_i. With W = L^{-1} Z
     for the Cholesky factor L of S(w), dt_i/dw_j = -|w_i^H w_j|^2 / n, so
     the Jacobian is J = I + (1/n) diag(u'(t)) |W^H W|^2, elementwise squared,
-    with u' = (Psi' - u)/t. The weights start from the Anderson sweeps' first
-    image, w = u(y t) at the start iterate and its scale root y. Each step
-    whitens, certifies S(w) on the plain map as the sweeps do, and solves
-    the n x n Newton systems of the stack in one call. A sample whose first
-    sweep fails gets that sweep's DegeneracyError. One whose later
-    factorization or Newton system fails, whose full step is not finite or
-    would make a weight <= 0, or that is not certified within
-    min(_NEWTON_STEPS, max_iter) whitenings, gets None.
+    with u' = (Psi' - u)/t. The weights start from the sweeps' first image,
+    w = u(y t) at the start iterate and its scale root y, whose whitening
+    counts as the first of Newton's. Each step whitens, certifies S(w) on
+    the plain map as the sweeps do, and solves the n x n Newton systems of
+    the stack in one call. A sample whose factorization or Newton system
+    fails, whose full step is not finite or would make a weight <= 0, or
+    that is not certified within min(_NEWTON_STEPS, max_iter) whitenings,
+    gets None.
     """
-    B, p, n = Z.shape
-    out: list = [None] * B
-    ids = list(range(B))
-    # The first sweep, and its failures, are the Anderson sweeps' own.
-    L, bad = _each(np.linalg.cholesky, _start(Z))
-    Z, L = _finish(out, ids, bad, [_singular_iterate() for _ in bad], (Z, L))
-    t = _whiten(L, Z)[1]
-    y = _scale_roots(spec, t, p)[0]
-    bad = [j for j, v in enumerate(y) if v != v]  # no root
-    Z, t = _finish(out, ids, bad, [_no_scale_root() for _ in bad], (Z, t), (y,))
-    w = spec.u(t * _column(y))
+    n = Z.shape[-1]
+    out: list = [None] * len(Z)
+    ids = list(range(len(Z)))
     for _ in range(min(_NEWTON_STEPS, opts.max_iter) - 1):
         if not ids:
             break
@@ -499,85 +545,6 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> l
     return out
 
 
-def _anderson_stack(spec: MEstimatorSpec, Z: np.ndarray, opts: SolverOptions) -> list:
-    """The accelerated fixed-point sweeps of `fixed_point_solve` on a (B, p, n) stack.
-
-    Returns the entries `fixed_point_solve_stack` returns. Each sweep whitens,
-    recalibrates, maps and factors the whole stack in one call each, while
-    every sample keeps its own Anderson history, restarts, certification and
-    error, and leaves the stack once it is certified or has failed.
-    """
-    B, p, _ = Z.shape
-    S = _start(Z)
-    out: list = [None] * B
-    ids = list(range(B))  # the caller's position of each live row
-    history: list = [[] for _ in range(B)]  # each row's (residual, image) differences, oldest first
-    last: list = [None] * B  # each row's last (residual, image); None before its first sweep and after a restart
-
-    def finish(rows, results, arrays, lists=()):
-        """Record each finished row's result; return `arrays` with the other rows, and compact the lists alike."""
-        return _finish(out, ids, rows, results, arrays, (history, last, *lists))
-
-    L, bad = _each(np.linalg.cholesky, S)
-    Z, S, L = finish(bad, [_singular_iterate() for _ in bad], (Z, S, L))
-    for _ in range(opts.max_iter):
-        if not ids:
-            break
-        t = _whiten(L, Z)[1]
-        y = _scale_roots(spec, t, p)[0]
-        bad = [j for j, v in enumerate(y) if v != v]  # no root
-        if bad:
-            Z, S, t = finish(bad, [_no_scale_root() for _ in bad], (Z, S, t), (y,))
-            if not ids:
-                break
-        T = _weighted_scatter(Z, spec.u(t * _column(y)))
-        f = (T - S).view(np.float64).reshape(len(ids), -1)
-        norm_S = _frobenius(S)
-        resid = _norms(f) / norm_S
-        # Certify the contract on the plain (uncorrected) map before returning. At y = 1 the image
-        # is the plain one, and `resid` is its residual, computed with the same kernels.
-        done = [j for j, r in enumerate(resid.tolist()) if r <= opts.tol and (
-            y[j] == 1.0 or _frobenius(_weighted_scatter(Z[j], spec.u(t[j])) - S[j]) / norm_S[j] <= opts.tol)]
-        if done:
-            Z, T, f, resid = finish(done, [HermitianMatrix(S[j]) for j in done], (Z, T, f, resid))
-            if not ids:
-                break
-
-        # The next iterates: each row's Anderson mix, or its plain image.
-        S = T.copy()
-        for j, hist in enumerate(history):
-            fj, Tj = f[j], T[j]
-            if last[j] is not None:
-                if len(hist) == _ANDERSON_MEMORY:
-                    del hist[0]
-                hist.append((fj - last[j][0], Tj - last[j][1]))
-            last[j] = fj, Tj
-            if hist and not _anderson_mix(S[j], fj, hist):
-                # A dependent history: restart from the plain image.
-                hist.clear()
-                last[j] = None
-        L, bad = _each(np.linalg.cholesky, S)
-        failed = []
-        for j in bad:
-            if history[j]:  # the row was mixed
-                # A mix outside the positive-definite cone: restart from the plain image.
-                history[j].clear()
-                last[j] = None
-                S[j] = T[j]
-                Lj = _cholesky(S[j])
-                if Lj is not None:
-                    L[j] = Lj
-                    continue
-            failed.append(j)
-        if failed:
-            Z, S, L, resid = finish(failed, [_singular_iterate() for _ in failed], (Z, S, L, resid))
-    for j, b in enumerate(ids):
-        out[b] = ConvergenceError(
-            f"no convergence within {opts.max_iter} iterations (last residual {resid[j]:.3e})",
-            residual=float(resid[j]))
-    return out
-
-
 def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None) -> HermitianMatrix:
     """Solve Sigma = (1/n) sum u(z_i^H Sigma^{-1} z_i) z_i z_i^H.
 
@@ -601,9 +568,9 @@ def fixed_point_solve(spec: MEstimatorSpec, Z, opts: SolverOptions | None = None
     method on w - u(t(w)) from the first sweep's image, with the iterate
     S(w) = (1/n) Z diag(w) Z^H: about 8 whitenings where the sweeps take
     about 20 at n = 2p. A sample that Newton's method does not certify
-    within a few steps gets the sweeps' solution. See `_newton_stack` and
-    `_anderson_stack`. This is `fixed_point_solve_stack` on a stack of one
-    sample.
+    within a few steps continues the sweeps from their first image, and gets
+    the sweeps' solution. See `fixed_point_solve_stack` and `_newton_stack`.
+    This is `fixed_point_solve_stack` on a stack of one sample.
     """
     (result,) = fixed_point_solve_stack(spec, [Z], opts)
     if isinstance(result, Exception):

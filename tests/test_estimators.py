@@ -75,8 +75,10 @@ def bisect_scale(spec, Q, p):
 
 
 def anderson(spec, Z):
-    """The Anderson sweeps' entry for the one sample Z, solved as a stack of one."""
-    return estimators._anderson_stack(spec, Z[None], SolverOptions())[0]
+    """The Anderson sweeps' entry for the one sample Z, solved as a stack of one with Newton's method switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_NEWTON_RATIO", 0)
+        return fixed_point_solve_stack(spec, [Z])[0]
 
 
 def counting_u(spec):
@@ -393,7 +395,7 @@ class TestSolveStack:
         y = estimators._scale_roots(spec, t, 20)[0]
         assert y == [1.0] * len(S)
         norm_S = estimators._frobenius(S)
-        T = estimators._weighted_scatter(Z, spec.u(t * estimators._column(y)))
+        T = estimators._weighted_scatter(Z, spec.u(t * np.array(y)[:, None]))
         resid = estimators._norms((T - S).view(np.float64).reshape(len(S), -1)) / norm_S
         for j in range(len(S)):
             plain = estimators._weighted_scatter(Z[j], spec.u(t[j])) - S[j]
@@ -483,10 +485,19 @@ class TestNewton:
             newton = fixed_point_solve(spec, Z).entries
             assert np.linalg.norm(newton - reference.entries) / np.linalg.norm(reference.entries) < 1e-8
 
-    def test_uncertified_member_gets_the_anderson_solve_bitwise(self):
+    def test_uncertified_member_gets_the_anderson_solve_bitwise(self, monkeypatch):
         spec = student_spec(20, 3.0)
         bad = newton_failure_sample()
-        assert estimators._newton_stack(spec, bad[None], SolverOptions()) == [None]
+        newton_stack, newton = estimators._newton_stack, []
+
+        def recorded(*args):
+            out = newton_stack(*args)
+            newton.append(list(out))
+            return out
+
+        monkeypatch.setattr(estimators, "_newton_stack", recorded)
+        fixed_point_solve(spec, bad)
+        assert newton == [[None]]
         samples = t_samples(40, 2)
         samples.insert(1, bad)
         stacked = fixed_point_solve_stack(spec, samples)
@@ -508,6 +519,32 @@ class TestNewton:
         monkeypatch.setattr(estimators, "_whiten", counted)
         assert np.array_equal(fixed_point_solve(spec, Z).entries, reference.entries)
         assert calls[0] <= 24
+
+    def test_handed_over_member_keeps_its_first_sweep(self, monkeypatch):
+        # Newton's method and the sweeps share the first sweep: a sample Newton's method does not certify
+        # continues the sweeps from its first image, 23 whitenings in all where a repeated first sweep took 24
+        spec = student_spec(20, 3.0)
+        Z = newton_failure_sample()
+        calls, newton_steps = [0], []
+        whiten, newton_stack = estimators._whiten, estimators._newton_stack
+
+        def counted(*args):
+            calls[0] += 1
+            return whiten(*args)
+
+        def newton(*args):
+            before = calls[0]
+            out = newton_stack(*args)
+            newton_steps.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(estimators, "_whiten", counted)
+        reference = anderson(spec, Z)
+        sweeps, calls[0] = calls[0], 0
+        monkeypatch.setattr(estimators, "_newton_stack", newton)
+        assert np.array_equal(fixed_point_solve(spec, Z).entries, reference.entries)
+        (steps,) = newton_steps  # Newton's whitenings after the first sweep's
+        assert calls[0] == (1 + steps) + sweeps - 1 == 23
 
     def test_singular_newton_systems_give_the_anderson_solve_bitwise(self, monkeypatch):
         spec = student_spec(20, 3.0)

@@ -341,7 +341,7 @@ class TestFailurePolicy:
     def test_campaign_budget_finishes_a_long_solve(self, monkeypatch):
         # on the Anderson sweeps, to which Newton's method hands every sample it does not certify, trial 19
         # needs 225 sweeps, more than the public default of 200; the campaign's budget finishes it
-        monkeypatch.setattr(estimators, "_newton_stack", lambda spec, Z, opts: [None] * len(Z))
+        monkeypatch.setattr(estimators, "_newton_stack", lambda spec, Z, w, opts: [None] * len(Z))
         cfg = ExperimentConfig(experiment="projector", p=20, n_grid=(21,), trials=20, seed=1)
         assert run_experiment(cfg).metadata["excluded"] == "none"
         camp = exp._Campaign(cfg)
