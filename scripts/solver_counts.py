@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Print the solver's path, its stack size and its whitenings, weight evaluations and psi passes per solve on the
-benchmark workloads.
+"""Print the solver's path, its stack size and its whitenings, weight evaluations, psi passes and scatters per solve
+on the benchmark workloads.
 
 Run from any directory; the campaigns use the `cesevd` source of the checkout
 this script sits in:
@@ -11,11 +11,12 @@ For each workload whose estimator is solved by `fixed_point_solve_stack`, at
 the benchmark's default and held-out seeds, it runs the campaign with one
 trial per block, so that every solve is a stack of one, and counts per solve
 the whitenings (calls of `estimators._whiten`), the weight evaluations (calls
-of the spec's u) and the psi passes (calls of the spec's psi, one per chunk
-of each step of the scale root). Each line gives the path the solver takes
+of the spec's u), the psi passes (calls of the spec's psi, one per chunk
+of each step of the scale root) and the scatters (calls of
+`estimators._weighted_scatter`). Each line gives the path the solver takes
 at that (p, n), the campaign's samples per stack there (`stack_size(p, n)`),
 how many solves Newton's method handed to the Anderson sweeps, and the
-median and maximum of the three counts. A trial's solve does
+median and maximum of the four counts. A trial's solve does
 not depend on its block, so the counts are those of the campaign itself, and
 deterministic.
 """
@@ -37,12 +38,13 @@ import workloads  # noqa: E402
 
 
 class Counter:
-    """Counts of the solve in progress, and one (whitenings, weight evals, psi passes, fell back) record per solve."""
+    """Counts of the solve in progress, and one (whitenings, weight evals, psi passes, scatters, fell back) record per
+    solve."""
 
     def __init__(self):
-        self.whitenings = self.weights = self.psi = 0
+        self.whitenings = self.weights = self.psi = self.scatters = 0
         self.fell_back = False
-        self.solves: list[tuple[int, int, int, bool]] = []
+        self.solves: list[tuple[int, int, int, int, bool]] = []
 
     def wrap(self, fn, field):
         def counted(*args, **kwargs):
@@ -53,10 +55,10 @@ class Counter:
 
     def solve(self, fn):
         def recorded(*args, **kwargs):
-            self.whitenings = self.weights = self.psi = 0
+            self.whitenings = self.weights = self.psi = self.scatters = 0
             self.fell_back = False
             result = fn(*args, **kwargs)
-            self.solves.append((self.whitenings, self.weights, self.psi, self.fell_back))
+            self.solves.append((self.whitenings, self.weights, self.psi, self.scatters, self.fell_back))
             return result
 
         return recorded
@@ -82,6 +84,7 @@ def _counted_campaign(config, counter: Counter) -> None:
         (exp, "fixed_point_solve_stack", counter.solve(exp.fixed_point_solve_stack)),
         (exp, "student_spec", counted_spec),
         (est, "_whiten", counter.wrap(est._whiten, "whitenings")),
+        (est, "_weighted_scatter", counter.wrap(est._weighted_scatter, "scatters")),
         (est, "_newton_stack", fallback),
     ]
     saved = [(module, name, getattr(module, name)) for module, name, _ in patches]
@@ -96,7 +99,7 @@ def _counted_campaign(config, counter: Counter) -> None:
 
 def main() -> int:
     print("workload     seed    n     path      stack  solves  fallbacks  whitenings med/max  weight evals med/max"
-          "  psi passes med/max")
+          "  psi passes med/max  scatters med/max")
     for seed in (workloads.DEFAULT_SEED, workloads.HELD_OUT_SEED):
         for name in workloads.WORKLOADS:
             config = exp.ExperimentConfig(**workloads.config_kwargs(name, seed))
@@ -108,13 +111,14 @@ def main() -> int:
             for i, n in enumerate(config.n_grid):
                 solves = counter.solves[i * config.trials:(i + 1) * config.trials]
                 newton = est._uses_newton(config.p, n)
-                fallbacks = sum(s[3] for s in solves) if newton else "-"
-                whit, wts, psi = ([s[k] for s in solves] for k in range(3))
+                fallbacks = sum(s[4] for s in solves) if newton else "-"
+                whit, wts, psi, sc = ([s[k] for s in solves] for k in range(4))
                 print(f"{name:12s} {seed:<7d} {n:<5d} {'newton' if newton else 'anderson':9s} "
                       f"{est.stack_size(config.p, n):5d} {len(solves):7d} "
                       f"{fallbacks:>10}"
                       f"  {statistics.median(whit):10g} / {max(whit):<4d}"
-                      f"  {statistics.median(wts):12g} / {max(wts):<4d}  {statistics.median(psi):10g} / {max(psi)}",
+                      f"  {statistics.median(wts):12g} / {max(wts):<4d}  {statistics.median(psi):10g} / {max(psi):<4d}"
+                      f"  {statistics.median(sc):8g} / {max(sc)}",
                       flush=True)
     return 0
 

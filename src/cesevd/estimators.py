@@ -309,22 +309,12 @@ def _each(fn, *stacks) -> tuple[np.ndarray, list]:
     return out, bad
 
 
-def _cholesky(S: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor of S, or None when S is not (numerically) positive definite."""
-    try:
-        return np.linalg.cholesky(S)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _finish(out: list, ids: list, rows: list, results: list, arrays, lists=()) -> list:
     """Record each finished row's result at its caller's position; return `arrays` without those rows.
 
     `ids` (the caller's position of each live row) and each of `lists` lose
     the same rows, in place.
     """
-    if not rows:
-        return list(arrays)
     for j, res in zip(rows, results):
         out[ids[j]] = res
     keep = [j for j in range(len(ids)) if j not in rows]
@@ -352,18 +342,18 @@ def stack_size(p: int, n: int) -> int:
     per-call overhead, which weighs most at small n, and costs working set,
     which grows with n. A Newton member holds two n x n arrays, the complex
     Gram matrix of its whitened sample and the real Jacobian (24 n^2 bytes),
-    six p x p complex arrays for its iterates, the sweep loop's first
-    iterate and its factor among them, and about five p x n complex
-    arrays: its sample, its row of the stack (copied again when a stack-mate
-    finishes and the stack is compacted) and the step temporaries. At
-    p = 20 a Newton stack's traced peak per member was 73 / 104 / 160 KiB
-    at n = 21 / 40 / 62, against charges of 81 / 138 / 225 KiB. An
-    Anderson member is charged 13.5 p x p and 2.5 p x n complex arrays,
-    fitted to traced peaks: at p = 20 a stack's peak per member was
-    156 / 190 / 247 KiB at n = 95 / 147 / 228 in stacks of 4 / 3 / 2, against
-    charges of 159 / 199 / 263 KiB. At p = 20 that gives 4 and 2 samples at
-    n = 40 and 62 (Newton), 4, 3 and 2 at n = 95, 147 and 228 (Anderson),
-    and one from n = 352 on.
+    six p x p complex arrays for its iterates, the sweep loop's start and
+    first image among them, and about five p x n complex arrays: its
+    sample, its row of the stack (copied again when a stack-mate finishes
+    and the stack is compacted) and the step temporaries. At p = 20 a
+    Newton stack's traced peak per member was 73 / 104 / 160 KiB at
+    n = 21 / 40 / 62, against charges of 81 / 138 / 225 KiB. An Anderson
+    member is charged 13.5 p x p and 2.5 p x n complex arrays, fitted to
+    traced peaks: at p = 20 a stack's peak per member was 149 / 183 / 241
+    KiB at n = 95 / 147 / 228 in stacks of 4 / 3 / 2, against charges of
+    159 / 199 / 263 KiB. At p = 20 that gives 4 and 2 samples at n = 40 and
+    62 (Newton), 4, 3 and 2 at n = 95, 147 and 228 (Anderson), and one from
+    n = 352 on.
     """
     return max(1, _STACK_BYTES // _member_bytes(p, n))
 
@@ -421,24 +411,21 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     S *= (p / np.trace(S, axis1=-2, axis2=-1).real)[..., None, None]
     for sweep in range(opts.max_iter):
         L, bad = _each(np.linalg.cholesky, S)
-        failed = []
-        for j in bad:
-            if history[j]:  # the row was mixed
-                # A mix outside the positive-definite cone: restart from the plain image.
+        mixed = [j for j in bad if history[j]]
+        if mixed:  # a mix outside the positive-definite cone: restart from the plain image
+            for j in mixed:
                 history[j].clear()
                 last[j] = None
-                S[j] = T[j]
-                Lj = _cholesky(S[j])
-                if Lj is not None:
-                    L[j] = Lj
-                    continue
-            failed.append(j)
-        if failed:
+            S[mixed] = T[mixed]
+            L[mixed], again = _each(np.linalg.cholesky, S[mixed])
+            bad = [j for j in bad if j not in mixed] + [mixed[k] for k in again]
+        if bad:
             err = "singular iterate: Cholesky factorization failed"
-            Z, S, L = finish(failed, [DegeneracyError(err) for _ in failed], (Z, S, L))
+            Z, S, L = finish(bad, [DegeneracyError(err) for _ in bad], (Z, S, L))
             if not ids:
                 break
         t = _whiten(L, Z)[1]
+        del L  # nothing needs the factor after the whitening
         y = _scale_roots(spec, t, p)[0]
         bad = [j for j, v in enumerate(y) if v != v]  # no root
         if bad:
@@ -447,14 +434,14 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
             if not ids:
                 break
         w = spec.u(t * np.array(y)[:, None])
+        T = _weighted_scatter(Z, w)
         if sweep == 0 and _uses_newton(p, n):
-            solved = _newton_stack(spec, Z, w, opts)
+            solved = _newton_stack(spec, Z, w, T, opts)
             done = [j for j, res in enumerate(solved) if res is not None]
             if done:
-                Z, S, t, w = finish(done, [solved[j] for j in done], (Z, S, t, w), (y,))
+                Z, S, T, t = finish(done, [solved[j] for j in done], (Z, S, T, t), (y,))
                 if not ids:
                     break
-        T = _weighted_scatter(Z, w)
         f = (T - S).view(np.float64).reshape(len(ids), -1)
         norm_S = _frobenius(S)
         resid = _norms(f) / norm_S
@@ -487,8 +474,8 @@ def fixed_point_solve_stack(spec: MEstimatorSpec, Z, opts: SolverOptions | None 
     return out
 
 
-def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, w: np.ndarray, opts: SolverOptions) -> list:
-    """Newton's method on each sample's weights from the first sweep's `w`: its solution as a HermitianMatrix, or None.
+def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, w: np.ndarray, S: np.ndarray, opts: SolverOptions) -> list:
+    """Newton's method on each sample's weights from the first sweep's `w` and image `S`: a HermitianMatrix, or None.
 
     The fixed point is S(w) = (1/n) Z diag(w) Z^H at the root of
     F(w) = w - u(t(w)), where t_i(w) = z_i^H S(w)^{-1} z_i. With W = L^{-1} Z
@@ -496,20 +483,20 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, w: np.ndarray, opts: Solv
     the Jacobian is J = I + (1/n) diag(u'(t)) |W^H W|^2, elementwise squared,
     with u' = (Psi' - u)/t. The weights start from the sweeps' first image,
     w = u(y t) at the start iterate and its scale root y, whose whitening
-    counts as the first of Newton's. Each step whitens, certifies S(w) on
-    the plain map as the sweeps do, and solves the n x n Newton systems of
-    the stack in one call. A sample whose factorization or Newton system
-    fails, whose full step is not finite or would make a weight <= 0, or
-    that is not certified within min(_NEWTON_STEPS, max_iter) whitenings,
-    gets None.
+    counts as the first of Newton's, and the first iterate is that image
+    S = S(w), as the sweep loop formed it; each later step forms its own.
+    Each step whitens, certifies S(w) on the plain map as the sweeps do, and
+    solves the n x n Newton systems of the stack in one call. A sample whose
+    factorization or Newton system fails, whose full step is not finite or
+    would make a weight <= 0, or that is not certified within
+    min(_NEWTON_STEPS, max_iter) whitenings, gets None.
     """
     n = Z.shape[-1]
     out: list = [None] * len(Z)
     ids = list(range(len(Z)))
-    for _ in range(min(_NEWTON_STEPS, opts.max_iter) - 1):
-        if not ids:
-            break
-        S = _weighted_scatter(Z, w)
+    for k in range(min(_NEWTON_STEPS, opts.max_iter) - 1):
+        if k:
+            S = _weighted_scatter(Z, w)
         L, bad = _each(np.linalg.cholesky, S)
         if bad:
             Z, w, S, L = _finish(out, ids, bad, [], (Z, w, S, L))
@@ -541,7 +528,10 @@ def _newton_stack(spec: MEstimatorSpec, Z: np.ndarray, w: np.ndarray, opts: Solv
         usable = (np.isfinite(step) & (w > step)).all(axis=-1)  # a finite step that keeps every weight positive
         bad += [j for j, ok in enumerate(usable.tolist()) if not ok and j not in bad]
         w = w - step
-        Z, w = _finish(out, ids, bad, [], (Z, w))
+        if bad:
+            Z, w = _finish(out, ids, bad, [], (Z, w))
+            if not ids:
+                break
     return out
 
 

@@ -195,17 +195,35 @@ class TestFixedPoint:
         cholesky = np.linalg.cholesky
         factored = []
 
-        def reject_first_mix(S):
-            # calls 1 and 2 factor the start and the first plain image; call 3 the first Anderson mix
-            factored.append(S)
-            if len(factored) == 3:
+        def record(S):
+            factored.append(np.reshape(S, (-1, 20, 20)))
+            return cholesky(S)
+
+        monkeypatch.setattr(np.linalg, "cholesky", record)
+        fixed_point_solve(spec, cs.Z)
+        _, image, mix = factored[:3]  # the start, the first plain image and the first Anderson mix
+        # the plain image the first mix was made from, with the sweep's kernels
+        t = estimators._whiten(cholesky(image), cs.Z[None])[1]
+        y = estimators._scale_roots(spec, t, 20)[0]
+        plain = estimators._weighted_scatter(cs.Z[None], spec.u(t * np.array(y)[:, None]))
+
+        factored.clear()
+        rejected = []
+
+        def reject_mix(S):
+            # every factorization of that mix fails, whether of the stack or of its one matrix
+            factored.append(np.reshape(S, (-1, 20, 20)))
+            if np.array_equal(factored[-1], mix):
+                rejected.append(len(factored))
                 raise np.linalg.LinAlgError("injected: mix is not positive definite")
             return cholesky(S)
 
-        monkeypatch.setattr(np.linalg, "cholesky", reject_first_mix)
+        monkeypatch.setattr(np.linalg, "cholesky", reject_mix)
         est = fixed_point_solve(spec, cs.Z).entries
-        assert len(factored) > 4
-        assert not np.array_equal(factored[2], factored[3])  # the plain image replaced the mix
+        assert rejected and len(factored) > rejected[-1] + 1
+        assert np.array_equal(factored[rejected[-1]], plain)  # the plain image replaced the mix
+        assert not np.array_equal(plain, mix)
+        assert not np.array_equal(est, reference)
         assert plain_residual(spec, cs.Z, est) <= 1e-10
         assert np.linalg.norm(est - reference) / np.linalg.norm(reference) < 1e-8
 
@@ -545,6 +563,26 @@ class TestNewton:
         assert np.array_equal(fixed_point_solve(spec, Z).entries, reference.entries)
         (steps,) = newton_steps  # Newton's whitenings after the first sweep's
         assert calls[0] == (1 + steps) + sweeps - 1 == 23
+
+    def test_handed_over_member_keeps_its_first_image(self, monkeypatch):
+        # Newton's method starts from the sweep loop's first image, so a sample it hands over forms that
+        # image once: 23 scatters in all where a second copy took 24; a certified sample takes 11 either way
+        spec = student_spec(20, 3.0)
+        calls = [0]
+        scatter = estimators._weighted_scatter
+
+        def counted(*args):
+            calls[0] += 1
+            return scatter(*args)
+
+        Z = newton_failure_sample()
+        reference = anderson(spec, Z)
+        monkeypatch.setattr(estimators, "_weighted_scatter", counted)
+        assert np.array_equal(fixed_point_solve(spec, Z).entries, reference.entries)
+        assert calls[0] == 23
+        calls[0] = 0
+        fixed_point_solve(spec, t_sample(p=20, n=40, seed=3)[1].Z)
+        assert calls[0] == 11
 
     def test_singular_newton_systems_give_the_anderson_solve_bitwise(self, monkeypatch):
         spec = student_spec(20, 3.0)
